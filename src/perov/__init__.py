@@ -3,7 +3,8 @@
 The package works over R^n ordered by the nonnegative orthant. Distances
 are vector valued: d(x, y) = W |x - y| for a strictly positive weight
 matrix W. On top of that sit contraction certificates for nonnegative
-matrices (spectral radius below one, Neumann series, residual check),
+matrices (one linear solve for (I - k)^-1, its sign and residual, and a
+Collatz-Wielandt upper bound on the spectral radius),
 successive-approximation solvers with componentwise a-priori error
 bounds, coincidence-point iteration for pairs of maps, and
 comparison-function generalizations of the linear contraction condition.
@@ -21,13 +22,10 @@ from .contraction import (
     certify_contraction,
     check_comparison_axioms,
     comparison_apply,
-    gelfand_spectral_estimate,
     linear_comparison,
-    neumann_sum,
     spectral_radius,
 )
 from .errors import (
-    ConvergenceFailure,
     EvaluationError,
     NotCertifiedError,
     PreimageError,
@@ -79,7 +77,6 @@ __all__ = [
     "ComparisonAxiomReport",
     "ConditionCReport",
     "ContractionCertificate",
-    "ConvergenceFailure",
     "EvaluationError",
     "IterationTrace",
     "LinearComparison",
@@ -107,14 +104,12 @@ __all__ = [
     "cone_contains",
     "cone_sampler",
     "converged",
-    "gelfand_spectral_estimate",
     "identity_map",
     "interior_sampler",
     "jungck_solve",
     "linear_comparison",
     "mat_apply",
     "metric_eval",
-    "neumann_sum",
     "order_leq",
     "order_ll",
     "perov_solve",

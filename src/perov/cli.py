@@ -26,7 +26,6 @@ from .contraction import (
     linear_comparison,
 )
 from .errors import (
-    ConvergenceFailure,
     EvaluationError,
     NotCertifiedError,
     PreimageError,
@@ -360,23 +359,24 @@ def _prologue(pf: ProblemFile, command: str, path: str) -> None:
     _rec("problem", command=command, n=pf.n, seed=pf.seed, budget=pf.budget, eps=pf.eps)
 
 
-def _certify_or_report(matrix: SquareMatrix, tol: float, seed: int, label: str):
+def _certify_or_report(matrix: SquareMatrix, tol: float, label: str):
     print(f"== certificate ({label}) ==")
     try:
-        cert = certify_contraction(matrix, tol, seed=seed)
+        cert = certify_contraction(matrix, tol)
     except NotCertifiedError as exc:
-        print(f"not certified: spectral radius estimate {_fmt(exc.estimate)}")
+        print(f"{exc}; spectral radius estimate {_fmt(exc.estimate)}")
         _rec("certificate", label=label, status="not_certified", rho=exc.estimate)
         return None
     print(
-        f"rho: {_fmt(cert.rho)}  series terms: {cert.series_terms}  "
-        f"residual: {_fmt(cert.residual)}"
+        f"rho: {_fmt(cert.rho)}  rho bound: {_fmt(cert.rho_bound)}  "
+        f"bound vectors: {cert.series_terms}  residual: {_fmt(cert.residual)}"
     )
     _rec(
         "certificate",
         label=label,
         status="certified",
         rho=cert.rho,
+        rho_bound=cert.rho_bound,
         terms=cert.series_terms,
         residual=cert.residual,
     )
@@ -389,7 +389,7 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison | Non
     try:
         phi = linear_comparison(lam, tol)
     except NotCertifiedError as exc:
-        print(f"gain not certified: spectral radius estimate {_fmt(exc.estimate)}")
+        print(f"gain {exc}; spectral radius estimate {_fmt(exc.estimate)}")
         _rec("comparison", status="not_certified", rho=exc.estimate)
         return None
     print(
@@ -495,6 +495,23 @@ def _emit_comparison_axioms(report) -> bool:
     return report.passed
 
 
+def _emit_condition_c(report) -> bool:
+    print(
+        f"contraction condition: {report.samples_tested} samples, "
+        f"{len(report.violations)} violations, branches {report.branch_counts}"
+    )
+    _rec(
+        "condition_c",
+        samples=report.samples_tested,
+        violations=len(report.violations),
+        branch1=report.branch_counts[0],
+        branch2=report.branch_counts[1],
+        branch3=report.branch_counts[2],
+        verdict="pass" if report.passed else "fail",
+    )
+    return report.passed
+
+
 def _cmd_check_comparison(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
     if phi is None:
@@ -509,7 +526,7 @@ def _cmd_check_comparison(pf: ProblemFile, args) -> int:
 
 def _cmd_certify(pf: ProblemFile, args) -> int:
     k = _need(pf.k, "k")
-    cert = _certify_or_report(k, args.tol, pf.seed, "k")
+    cert = _certify_or_report(k, args.tol, "k")
     return EXIT_OK if cert is not None else EXIT_HYPOTHESIS
 
 
@@ -529,20 +546,7 @@ def _cmd_verify_condition_c(pf: ProblemFile, args) -> int:
     sampler = uniform_sampler(pf.n, seed=pf.seed)
     report = verify_condition_c(pf.f, g, phi, metric, sampler, args.samples)
     print("== contraction condition ==")
-    print(
-        f"samples: {report.samples_tested}  violations: {len(report.violations)}  "
-        f"branches: {report.branch_counts}"
-    )
-    _rec(
-        "condition_c",
-        samples=report.samples_tested,
-        violations=len(report.violations),
-        branch1=report.branch_counts[0],
-        branch2=report.branch_counts[1],
-        branch3=report.branch_counts[2],
-        verdict="pass" if report.passed else "fail",
-    )
-    return EXIT_OK if report.passed else EXIT_HYPOTHESIS
+    return EXIT_OK if _emit_condition_c(report) else EXIT_HYPOTHESIS
 
 
 def _cmd_solve_perov(pf: ProblemFile, args) -> int:
@@ -551,7 +555,7 @@ def _cmd_solve_perov(pf: ProblemFile, args) -> int:
         raise UsageError("solve-perov is a self-map solve; use solve-jungck for g")
     if not _lipschitz_gate(pf, identity_map(pf.n), k, args.samples):
         return EXIT_HYPOTHESIS
-    cert = _certify_or_report(k, args.tol, pf.seed, "k")
+    cert = _certify_or_report(k, args.tol, "k")
     if cert is None:
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
@@ -564,11 +568,11 @@ def _cmd_solve_perov(pf: ProblemFile, args) -> int:
 
 def _cmd_solve_jungck(pf: ProblemFile, args) -> int:
     k = _need(pf.k, "k")
-    g = _need(pf.g, "g")
+    _need(pf.g, "g")
     g, g_solve = _resolve_g(pf)
     if not _lipschitz_gate(pf, g, k, args.samples):
         return EXIT_HYPOTHESIS
-    cert = _certify_or_report(k, args.tol, pf.seed, "k")
+    cert = _certify_or_report(k, args.tol, "k")
     if cert is None:
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
@@ -593,21 +597,7 @@ def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
     metric = WeightedMatrixMetric(pf.weight)
     sampler = uniform_sampler(pf.n, seed=pf.seed)
     cond_report = verify_condition_c(pf.f, g, phi, metric, sampler, args.samples)
-    print(
-        f"contraction condition: {cond_report.samples_tested} samples, "
-        f"{len(cond_report.violations)} violations, "
-        f"branches {cond_report.branch_counts}"
-    )
-    _rec(
-        "condition_c",
-        samples=cond_report.samples_tested,
-        violations=len(cond_report.violations),
-        branch1=cond_report.branch_counts[0],
-        branch2=cond_report.branch_counts[1],
-        branch3=cond_report.branch_counts[2],
-        verdict="pass" if cond_report.passed else "fail",
-    )
-    if not cond_report.passed:
+    if not _emit_condition_c(cond_report):
         return EXIT_HYPOTHESIS
     result = comparison_solve(
         pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget
@@ -686,9 +676,6 @@ def run(argv=None) -> int:
         code = EXIT_HYPOTHESIS
     except EvaluationError as exc:
         print(f"evaluation failure: {exc}")
-        code = EXIT_HYPOTHESIS
-    except ConvergenceFailure as exc:
-        print(f"numerical failure: {exc}")
         code = EXIT_HYPOTHESIS
     _rec("exit", code=code)
     return code

@@ -1,9 +1,12 @@
 """Contraction certificates and comparison functions.
 
 A nonnegative matrix k is usable as a contraction coefficient when its
-Neumann series 1 + k + k^2 + ... converges; spectral radius below one is
-the certificate this module establishes. The certified sum S = (1 - k)^-1
-is what turns per-step distances into componentwise a-priori error bounds.
+spectral radius is below one. Then I - k is a nonsingular M-matrix, which
+holds exactly when S = (I - k)^-1 exists and is entrywise nonnegative, and
+S = I + k + k^2 + ... is what turns per-step distances into componentwise
+a-priori error bounds. The certificate computes S with one linear solve,
+checks its sign and its residual, and bounds the spectral radius from above
+with the Collatz-Wielandt ratio max_i (k x)_i / x_i of a positive vector x.
 
 Comparison functions generalize the linear coefficient: phi maps the cone
 into itself, shrinks every nonzero argument in the cone order, and its
@@ -19,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotCertifiedError, UsageError
-from .ordered_algebra import SquareMatrix, Vector, mat_apply, ring_norm
+from .errors import NotCertifiedError, UsageError
+from .ordered_algebra import SquareMatrix, Vector, mat_apply
 from .sampling import Sampler
 
 __all__ = [
@@ -28,8 +31,6 @@ __all__ = [
     "LinearComparison",
     "ComparisonAxiomReport",
     "spectral_radius",
-    "gelfand_spectral_estimate",
-    "neumann_sum",
     "certify_contraction",
     "linear_comparison",
     "comparison_apply",
@@ -37,14 +38,14 @@ __all__ = [
     "CERT_RESIDUAL_MAX",
 ]
 
-# Hard cap on the certificate residual ring_norm((1 - k) S - 1).
+# Hard cap on the certificate residual ring_norm((1 - k) S - 1). Entries of S
+# within CERT_RESIDUAL_MAX * ring_norm(S) below zero are rounding of a zero.
 CERT_RESIDUAL_MAX = 1e-10
 
-# Internal tolerance for the Neumann tail when building certificates; keeps
-# the residual two orders of magnitude inside CERT_RESIDUAL_MAX.
-_SERIES_TOL = 1e-12
-
-_GELFAND_DOUBLINGS = 60
+# Most sharpening solves spent on the Collatz-Wielandt vector. The shifted
+# step converges quadratically on irreducible matrices; reducible and
+# defective ones stop here with a looser, still valid, bound.
+_SHARPEN_STEPS = 6
 
 
 def _row_sum_norm(m: np.ndarray) -> float:
@@ -56,171 +57,40 @@ def _require_nonnegative(a: SquareMatrix, what: str) -> None:
         raise UsageError(f"{what} must have nonnegative entries")
 
 
-def _gelfand(m: np.ndarray) -> tuple[float, float]:
-    """Norm-root estimate of the spectral radius, with its last drift.
+def spectral_radius(a: SquareMatrix, tol: float) -> float:
+    """Estimate the spectral radius of a nonnegative matrix: max |eigenvalue|.
 
-    Evaluates ring_norm(A^p)^(1/p) at p = 2^60 by renormalized repeated
-    squaring. Renormalizing before each squaring keeps entries in range,
-    and the huge exponent washes out the constant that makes the norm-root
-    sequence slow at small powers. Returns (estimate, last step change).
-    """
-    b = np.array(m, dtype=float)
-    norm = _row_sum_norm(b)
-    if norm == 0.0:
-        return 0.0, 0.0
-    log_scale = 0.0
-    power = 1
-    est = norm
-    prev = est
-    for _ in range(_GELFAND_DOUBLINGS):
-        b = b / norm
-        log_scale += math.log(norm)
-        b = b @ b
-        power *= 2
-        log_scale *= 2.0
-        norm = _row_sum_norm(b)
-        if not math.isfinite(norm):
-            raise ConvergenceFailure("norm overflow while squaring powers")
-        if norm == 0.0:
-            # An exact zero power: the matrix is nilpotent.
-            return 0.0, prev
-        prev = est
-        est = math.exp((log_scale + math.log(norm)) / power)
-    return est, abs(est - prev)
-
-
-def gelfand_spectral_estimate(a: SquareMatrix) -> float:
-    """Spectral radius of a nonnegative matrix from norms of matrix powers.
-
-    Deterministic companion to the power iteration in spectral_radius; the
-    two must agree, and this one also covers reducible matrices where the
-    iteration bracket cannot close.
-    """
-    _require_nonnegative(a, "matrix")
-    est, _ = _gelfand(a.entries)
-    return est
-
-
-def _power_bracket(
-    m: np.ndarray, tol: float, budget: int, seed: int
-) -> tuple[float, float, bool]:
-    """Power iteration with a ratio bracket.
-
-    For a positive iterate x the ratios (A x)_i / x_i bracket the spectral
-    radius; the bracket closes for primitive matrices and stalls for
-    reducible or periodic ones, which is the caller's cue to fall back.
-    """
-    n = m.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.5, 1.5, n)
-    lo = math.nan
-    hi = math.nan
-    for _ in range(budget):
-        y = m @ x
-        support = x > 0.0
-        if not support.any():
-            return lo, hi, False
-        ratios = y[support] / x[support]
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo <= 0.5 * tol:
-            return lo, hi, True
-        top = float(y.max())
-        if top <= 0.0:
-            return lo, hi, False
-        x = y / top
-    return lo, hi, False
-
-
-def spectral_radius(
-    a: SquareMatrix, tol: float, *, budget: int = 100_000, seed: int = 0
-) -> float:
-    """Estimate the spectral radius of a nonnegative matrix to within tol.
-
-    Power iteration from a random positive start supplies a bracket whose
-    midpoint is returned once the bracket closes and agrees with the
-    norm-root estimate; otherwise the norm-root estimate stands on its own
-    (reducible and periodic matrices land here). Raises ConvergenceFailure,
-    carrying the last bracket, only if neither route stabilizes.
+    The estimate is for reporting and certifies nothing; certify_contraction
+    supplies the upper bound. tol must be positive; the eigenvalue solver
+    is accurate to rounding whatever its value.
     """
     _require_nonnegative(a, "matrix")
     if not tol > 0.0:
         raise UsageError("tol must be positive")
-    if budget < 1:
-        raise UsageError("budget must be at least 1")
-    gelfand_est, drift = _gelfand(a.entries)
-    lo, hi, bracket_ok = _power_bracket(a.entries, tol, budget, seed)
-    if bracket_ok:
-        power_est = 0.5 * (lo + hi)
-        if abs(power_est - gelfand_est) <= max(tol, 1e-9):
-            return power_est
-    if drift <= max(tol, 1e-9) * max(1.0, gelfand_est):
-        return gelfand_est
-    raise ConvergenceFailure(
-        f"spectral radius estimate did not stabilize within budget {budget}; "
-        f"last bracket [{lo!r}, {hi!r}]",
-        bracket=(lo, hi),
-    )
-
-
-def _neumann(m: np.ndarray, tol: float, budget: int) -> tuple[np.ndarray, int]:
-    n = m.shape[0]
-    total = np.eye(n)
-    term = np.array(m, dtype=float)
-    terms = 1
-    while True:
-        total = total + term
-        terms += 1
-        term = term @ m
-        tail_norm = _row_sum_norm(term)
-        if not math.isfinite(tail_norm):
-            raise ConvergenceFailure(
-                "power series blew up; the spectral radius is not below 1"
-            )
-        if tail_norm < 1.0:
-            # The tail is term * S; bound ring_norm(S) through the partial sum.
-            hint = _row_sum_norm(total) / (1.0 - tail_norm)
-            if tail_norm * hint <= tol:
-                return total, terms
-        if terms > budget:
-            raise ConvergenceFailure(
-                f"power series did not reach tolerance {tol!r} within {budget} terms"
-            )
-
-
-def neumann_sum(a: SquareMatrix, tol: float, *, budget: int = 200_000) -> SquareMatrix:
-    """Sum of the power series 1 + a + a^2 + ... by accumulated partial sums.
-
-    The caller is responsible for the spectral radius being below one;
-    divergence surfaces as ConvergenceFailure. Accumulation stops once the
-    certified tail bound drops to tol.
-    """
-    _require_nonnegative(a, "matrix")
-    if not tol > 0.0:
-        raise UsageError("tol must be positive")
-    total, _ = _neumann(a.entries, tol, budget)
-    return SquareMatrix(total)
+    return float(np.max(np.abs(np.linalg.eigvals(a.entries))))
 
 
 @dataclass(frozen=True, eq=False)
 class ContractionCertificate:
-    """Evidence that k admits a convergent power series.
+    """Evidence that k has spectral radius below one.
 
-    Holds the spectral radius estimate, the series sum S, the number of
-    accumulated terms, and the verification residual
-    ring_norm((1 - k) S - 1), which must not exceed CERT_RESIDUAL_MAX.
+    Holds the spectral radius estimate rho, the certified upper bound
+    rho_bound on it, S = (1 - k)^-1, the number of Collatz-Wielandt vectors
+    tried, and the verification residual ring_norm((1 - k) S - 1), which
+    must not exceed CERT_RESIDUAL_MAX.
     """
 
     k: SquareMatrix
     rho: float
+    rho_bound: float
     S: SquareMatrix
     series_terms: int
     residual: float
 
     def __post_init__(self):
         _require_nonnegative(self.k, "certified matrix")
-        if not self.rho < 1.0:
-            raise UsageError("certificate requires spectral radius below 1")
+        if not self.rho_bound < 1.0:
+            raise UsageError("certificate requires a spectral radius bound below 1")
         if self.k.n != self.S.n:
             raise UsageError("certificate matrices must share a dimension")
         if not self.residual <= CERT_RESIDUAL_MAX:
@@ -233,33 +103,70 @@ class ContractionCertificate:
         return self.k.n
 
 
-def certify_contraction(
-    a: SquareMatrix,
-    tol: float,
-    *,
-    budget: int = 100_000,
-    series_budget: int = 200_000,
-    seed: int = 0,
-) -> ContractionCertificate:
+def _collatz_wielandt(m: np.ndarray, x: np.ndarray) -> float:
+    """max_i (m x)_i / x_i: an upper bound on rho(m) for positive x, else inf."""
+    if not np.all(x > 0.0):
+        return math.inf
+    return float(np.max(m @ x / x))
+
+
+def certify_contraction(a: SquareMatrix, tol: float) -> ContractionCertificate:
     """Certify a nonnegative matrix as a usable contraction coefficient.
 
-    Succeeds when the spectral radius estimate is below 1 - tol, in which
-    case the power series sum is accumulated and residual-checked. Raises
-    NotCertifiedError (carrying the estimate) otherwise.
+    Solves for S = (1 - k)^-1 and requires it to be entrywise nonnegative
+    with a residual within CERT_RESIDUAL_MAX. The Collatz-Wielandt bound of
+    x = S 1 is then sharpened by shifted solves x <- (b - k)^-1 x, b the
+    current bound, until it stops falling; the matrix is certified when the
+    bound is below 1 - tol. Raises NotCertifiedError, carrying the spectral
+    radius estimate and naming the failed check, otherwise.
     """
     _require_nonnegative(a, "matrix")
     if not tol > 0.0:
         raise UsageError("tol must be positive")
-    rho = spectral_radius(a, min(tol, 1e-9), budget=budget, seed=seed)
-    if not rho < 1.0 - tol:
-        raise NotCertifiedError(rho)
-    total, terms = _neumann(a.entries, _SERIES_TOL, series_budget)
+    rho = spectral_radius(a, tol)
+    k = a.entries
     eye = np.eye(a.n)
-    residual = _row_sum_norm((eye - a.entries) @ total - eye)
+    try:
+        s = np.linalg.solve(eye - k, eye)
+    except np.linalg.LinAlgError:
+        raise NotCertifiedError(rho, "not certified: 1 - k is singular") from None
+    residual = _row_sum_norm((eye - k) @ s - eye)
+    if not residual <= CERT_RESIDUAL_MAX:
+        raise NotCertifiedError(
+            rho,
+            f"not certified: residual {residual!r} of (1 - k)^-1 "
+            f"exceeds {CERT_RESIDUAL_MAX!r}",
+        )
+    if np.any(s < -CERT_RESIDUAL_MAX * _row_sum_norm(s)):
+        raise NotCertifiedError(
+            rho, "not certified: (1 - k)^-1 has a negative entry, so rho(k) >= 1"
+        )
+    x = s.sum(axis=1)
+    bound = _collatz_wielandt(k, x)
+    terms = 1
+    # x = S 1 > 0 gives bound = 1 - 1 / max(x) < 1; a larger bound means x is
+    # not positive and there is nothing to sharpen
+    while bound < 1.0 and terms <= _SHARPEN_STEPS:
+        try:
+            y = np.linalg.solve(bound * eye - k, x)
+        except np.linalg.LinAlgError:
+            break  # the bound is an eigenvalue of k, hence exact
+        sharper = _collatz_wielandt(k, y)
+        terms += 1
+        if not sharper < bound:
+            break
+        x, bound = y / np.max(y), sharper
+    if not bound < 1.0 - tol:
+        raise NotCertifiedError(
+            rho,
+            f"not certified: Collatz-Wielandt bound {bound!r} on the spectral "
+            f"radius is not below 1 - tol",
+        )
     return ContractionCertificate(
         k=a,
         rho=rho,
-        S=SquareMatrix(total),
+        rho_bound=bound,
+        S=SquareMatrix(s),
         series_terms=terms,
         residual=residual,
     )

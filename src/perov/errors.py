@@ -11,28 +11,13 @@ class NotCertifiedError(Exception):
     """Contraction certification failed.
 
     Carries the spectral radius estimate so callers can report how far the
-    matrix is from being certifiable.
+    matrix is from being certifiable; the message names the check that
+    failed (a singular 1 - k, a residual over the cap, a negative entry of
+    (1 - k)^-1, or a spectral radius bound not below 1 - tol).
     """
 
-    def __init__(self, estimate: float, message: str | None = None):
+    def __init__(self, estimate: float, message: str):
         self.estimate = float(estimate)
-        if message is None:
-            message = (
-                f"not certified: spectral radius estimate "
-                f"{self.estimate!r} is not below 1"
-            )
-        super().__init__(message)
-
-
-class ConvergenceFailure(Exception):
-    """An iterative numerical routine ran out of budget.
-
-    For spectral radius estimation the last bracket is attached so the
-    failure is diagnosable.
-    """
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        self.bracket = bracket
         super().__init__(message)
 
 

@@ -1,7 +1,7 @@
 """Fixed-point and coincidence-point iteration under vector-valued metrics.
 
 perov_solve iterates a self-map whose displacement is dominated, in the
-cone order, by a certified matrix coefficient; the certificate's series sum
+cone order, by a certified matrix coefficient; the certificate's S = (I - k)^-1
 turns the first step distance into a componentwise a-priori bound on the
 distance to the limit, which drives the stopping rule.
 

@@ -203,6 +203,34 @@ def test_run_certify_failure_exits_2(tmp_path, capsys):
     assert "#REC kind=exit code=2" in out
 
 
+def test_run_certify_near_one_exits_2(tmp_path, capsys):
+    # rho = 1 - 1e-7 leaves (I - k)^-1 too ill-conditioned for the residual cap
+    rng = np.random.default_rng(6)
+    a = rng.uniform(0.1, 1.0, (8, 8))
+    k = a * ((1.0 - 1e-7) / np.max(np.abs(np.linalg.eigvals(a))))
+
+    def rows(m):
+        return "; ".join(", ".join(repr(float(e)) for e in row) for row in m)
+
+    text = "\n".join(
+        [
+            "n = 8",
+            f"W = {rows(np.ones((8, 8)) + np.eye(8))}",
+            "f.kind = affine",
+            f"f.M = {rows(k)}",
+            f"f.b = {', '.join(['0'] * 8)}",
+            f"k = {rows(k)}",
+            f"x0 = {', '.join(['0'] * 8)}",
+            "eps = 1e-10",
+        ]
+    )
+    code = run(["certify", write(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert code == EXIT_HYPOTHESIS
+    assert "not certified: residual" in out
+    assert "status=not_certified" in out
+
+
 def test_run_budget_exhaustion_exits_3(tmp_path):
     text = MINIMAL.replace("f.M = 0.5", "f.M = 0.999").replace(
         "k = 0.5", "k = 0.999"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from perov import (
     CERT_RESIDUAL_MAX,
-    ConvergenceFailure,
     NotCertifiedError,
     OrthantCone,
     SquareMatrix,
@@ -15,9 +16,7 @@ from perov import (
     check_comparison_axioms,
     comparison_apply,
     cone_sampler,
-    gelfand_spectral_estimate,
     linear_comparison,
-    neumann_sum,
     ring_norm,
     spectral_radius,
 )
@@ -35,6 +34,16 @@ def rho_2x2(a):
     # closed-form dominant eigenvalue of a nonnegative 2x2 matrix
     (p, q), (r, s) = a.entries
     return ((p + s) + np.sqrt((p - s) ** 2 + 4.0 * q * r)) / 2.0
+
+
+def eig_radius(a):
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def positive_at(rng, n, rho):
+    # a positive n x n matrix scaled to the requested eigenvalue radius
+    a = rng.uniform(0.1, 1.0, (n, n))
+    return a * (rho / eig_radius(a))
 
 
 # -- spectral radius --------------------------------------------------------
@@ -79,17 +88,28 @@ def test_spectral_radius_matches_2x2_oracle(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_gelfand_agrees_with_power_estimate(seed):
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_rho_bound_dominates_spectral_radius(seed, positive):
+    # the Collatz-Wielandt bound is an upper bound on every nonnegative
+    # matrix and, on positive ones, tight
     rng = np.random.default_rng(seed)
-    a = SquareMatrix(rng.uniform(0.01, 1.0, (3, 3)))
-    tol = 1e-10
-    assert abs(gelfand_spectral_estimate(a) - spectral_radius(a, tol)) <= 10 * tol
+    a = rng.uniform(0.01, 1.0, (3, 3))
+    if not positive:
+        a = a * (rng.uniform(0.0, 1.0, (3, 3)) < 0.5)
+    radius = eig_radius(a)
+    if radius > 0.0:
+        a = a * (rng.uniform(0.05, 0.99) / radius)
+    a = SquareMatrix(a)
+    cert = certify_contraction(a, 1e-9)
+    rho = spectral_radius(a, 1e-10)
+    assert cert.rho_bound >= rho - 1e-12
+    if positive:
+        assert cert.rho_bound - rho <= 1e-8
 
 
-def test_gelfand_frozen():
+def test_rho_bound_frozen():
     a = mat([[0.5, 0.6], [0.1, 0.2]])
-    assert abs(gelfand_spectral_estimate(a) - rho_2x2(a)) < 1e-9
+    assert abs(certify_contraction(a, 1e-9).rho_bound - rho_2x2(a)) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,8 +124,10 @@ def test_spectral_radius_below_ring_norm(n, seed):
 
 
 def test_neumann_frozen_example():
-    s = neumann_sum(mat([[0.5, 0.25], [0.0, 0.5]]), 1e-12)
+    a = mat([[0.5, 0.25], [0.0, 0.5]])
+    s = certify_contraction(a, 1e-12).S
     assert np.allclose(s.entries, [[2.0, 1.0], [0.0, 2.0]], atol=1e-10)
+    assert np.allclose(s.entries, np.linalg.inv(np.eye(2) - a.entries), atol=1e-10)
 
 
 def test_neumann_matches_inverse_oracle():
@@ -113,34 +135,18 @@ def test_neumann_matches_inverse_oracle():
     eye = np.eye(2)
     for _ in range(50):
         a = rng.uniform(0.0, 0.45, (2, 2))
-        s = neumann_sum(SquareMatrix(a), 1e-13)
+        s = certify_contraction(SquareMatrix(a), 1e-13).S
         assert np.allclose(s.entries, np.linalg.inv(eye - a), atol=1e-10)
 
 
 def test_neumann_diverges_on_expansion():
-    with pytest.raises(ConvergenceFailure):
-        neumann_sum(mat([[2.0]]), 1e-12, budget=200)
+    with pytest.raises(NotCertifiedError, match="negative entry"):
+        certify_contraction(mat([[2.0]]), 1e-12)
 
 
-def test_neumann_budget_exhaustion_at_radius_one():
-    with pytest.raises(ConvergenceFailure):
-        neumann_sum(mat([[1.0]]), 1e-12, budget=500)
-
-
-def test_neumann_tail_norm_nonincreasing():
-    # ring_norm(S_n - S) must shrink monotonically for nonnegative terms
-    rng = np.random.default_rng(33)
-    a = rng.uniform(0.0, 0.4, (2, 2))
-    s = neumann_sum(SquareMatrix(a), 1e-13).entries
-    partial = np.eye(2)
-    power = np.eye(2)
-    tails = []
-    # 20 terms keeps the tail well above the 1e-13 truncation of s itself
-    for _ in range(20):
-        power = power @ a
-        partial = partial + power
-        tails.append(ring_norm(SquareMatrix(np.abs(s - partial))))
-    assert all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
+def test_certify_refuses_radius_one():
+    with pytest.raises(NotCertifiedError, match="singular"):
+        certify_contraction(mat([[1.0]]), 1e-12)
 
 
 # -- certificates -----------------------------------------------------------
@@ -151,7 +157,10 @@ def test_certificate_frozen_example():
     assert abs(cert.rho - 0.5) < 1e-8
     assert np.allclose(cert.S.entries, [[2.0, 1.0], [0.0, 2.0]], atol=1e-9)
     assert cert.residual <= CERT_RESIDUAL_MAX
+    # the shifted solves sharpen the bound on a defective matrix but stop
+    # above the radius
     assert cert.series_terms > 1
+    assert 0.5 <= cert.rho_bound < 1.0 - 1e-9
 
 
 def test_certify_refuses_identity():
@@ -164,6 +173,37 @@ def test_certify_refuses_slight_expansion():
     with pytest.raises(NotCertifiedError) as exc:
         certify_contraction(mat([[1.01]]), 1e-9)
     assert abs(exc.value.estimate - 1.01) < 1e-6
+
+
+def test_certify_refuses_bound_within_tol_of_one():
+    # 1 - k is a nonsingular M-matrix, but the margin below 1 is under tol
+    with pytest.raises(NotCertifiedError, match="Collatz-Wielandt bound"):
+        certify_contraction(mat([[1.0 - 1e-10]]), 1e-9)
+
+
+def test_hostile_inputs_certify_quickly():
+    # reducible, periodic and near-1 matrices took seconds, or failed, while
+    # a power bracket or a series ran out of budget
+    rng = np.random.default_rng(5)
+    cases = [
+        np.diag([0.3, 0.6]),
+        np.array([[0.0, 0.5], [0.5, 0.0]]),
+        np.array([[0.999]]),
+        positive_at(rng, 8, 0.9999),
+    ]
+    start = time.perf_counter()
+    certs = [certify_contraction(SquareMatrix(k), 1e-9) for k in cases]
+    assert time.perf_counter() - start < 0.5
+    for k, cert in zip(cases, certs):
+        assert cert.rho_bound >= eig_radius(k) - 1e-12
+
+
+def test_certify_refuses_ill_conditioned_near_one_quickly():
+    k = SquareMatrix(positive_at(np.random.default_rng(6), 8, 1.0 - 1e-7))
+    start = time.perf_counter()
+    with pytest.raises(NotCertifiedError, match="residual"):
+        certify_contraction(k, 1e-9)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_certify_refuses_negative_entries():
