@@ -32,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .metric import WeightedMatrixMetric, check_metric_axioms
-from .ordered_algebra import SquareMatrix, Vector, sup_norm
+from .ordered_algebra import SquareMatrix, Vector
 from .sampling import cone_sampler, uniform_sampler
 from .solver import (
     MapSpec,
@@ -405,19 +405,18 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison | Non
     return phi
 
 
-def _emit_iterations(trace) -> None:
+def _emit_solve(result: SolveResult) -> int:
+    """Emit the iter and result records of a solve and return its exit code."""
+    trace = result.trace
     print("== iterations ==")
     print(f"iterations: {trace.iterations}  status: {trace.status.value}")
     for i, (dist, bound) in enumerate(zip(trace.step_dists, trace.bounds)):
         _rec("iter", n=i, y=trace.points[i], dist=dist, bound=bound)
-
-
-def _emit_result(result: SolveResult, residual: Vector) -> None:
     print("== result ==")
-    print(f"status: {result.trace.status.value}")
+    print(f"status: {trace.status.value}")
     print(f"point: {_fmt_vec(result.point)}")
     print(f"value: {_fmt_vec(result.value)}")
-    print(f"residual: {_fmt_vec(residual)}")
+    print(f"residual: {_fmt_vec(result.residual)}")
     if result.weakly_compatible is not None:
         print(f"weakly compatible: {str(result.weakly_compatible).lower()}")
         if result.common_fixed_point is not None:
@@ -426,13 +425,14 @@ def _emit_result(result: SolveResult, residual: Vector) -> None:
         print(f"hypothesis violated at step {result.hypothesis_witness['step']}")
     _rec(
         "result",
-        status=result.trace.status.value,
+        status=trace.status.value,
         point=result.point,
         value=result.value,
-        residual=residual,
+        residual=result.residual,
         weak_compat=result.weakly_compatible,
         common=result.common_fixed_point,
     )
+    return _STATUS_EXIT[trace.status]
 
 
 def _lipschitz_gate(pf: ProblemFile, g: MapSpec, k: SquareMatrix, samples: int) -> bool:
@@ -559,11 +559,7 @@ def _cmd_solve_perov(pf: ProblemFile, args) -> int:
     if cert is None:
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
-    result = perov_solve(pf.f, metric, cert, pf.x0, pf.eps, pf.budget)
-    _emit_iterations(result.trace)
-    residual = metric(pf.f(result.point), result.point)
-    _emit_result(result, residual)
-    return _STATUS_EXIT[result.trace.status]
+    return _emit_solve(perov_solve(pf.f, metric, cert, pf.x0, pf.eps, pf.budget))
 
 
 def _cmd_solve_jungck(pf: ProblemFile, args) -> int:
@@ -576,11 +572,9 @@ def _cmd_solve_jungck(pf: ProblemFile, args) -> int:
     if cert is None:
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
-    result = jungck_solve(pf.f, g, g_solve, metric, cert, pf.x0, pf.eps, pf.budget)
-    _emit_iterations(result.trace)
-    residual = metric(pf.f(result.point), g(result.point))
-    _emit_result(result, residual)
-    return _STATUS_EXIT[result.trace.status]
+    return _emit_solve(
+        jungck_solve(pf.f, g, g_solve, metric, cert, pf.x0, pf.eps, pf.budget)
+    )
 
 
 def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
@@ -599,13 +593,9 @@ def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
     cond_report = verify_condition_c(pf.f, g, phi, metric, sampler, args.samples)
     if not _emit_condition_c(cond_report):
         return EXIT_HYPOTHESIS
-    result = comparison_solve(
-        pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget
+    return _emit_solve(
+        comparison_solve(pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget)
     )
-    _emit_iterations(result.trace)
-    residual = metric(pf.f(result.point), g(result.point))
-    _emit_result(result, residual)
-    return _STATUS_EXIT[result.trace.status]
 
 
 _HANDLERS = {

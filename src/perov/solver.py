@@ -1,15 +1,14 @@
 """Fixed-point and coincidence-point iteration under vector-valued metrics.
 
-perov_solve iterates a self-map whose displacement is dominated, in the
-cone order, by a certified matrix coefficient; the certificate's S = (I - k)^-1
-turns the first step distance into a componentwise a-priori bound on the
-distance to the limit, which drives the stopping rule.
-
-jungck_solve runs the coincidence iteration f(x_j) = g(x_{j+1}) for a pair
-of maps sharing the same coefficient, with g inverted through a supplied
-oracle. comparison_solve replaces the matrix coefficient by a comparison
-function and verifies the contraction condition online at every step, since
-a general comparison function admits no computable tail bound.
+One loop serves three entry points. It runs the coincidence iteration
+f(x_j) = g(x_{j+1}), inverting g through a supplied oracle; perov_solve is
+the case g = id, which needs no inversion. With a certified matrix
+coefficient k (perov_solve, jungck_solve) the certificate's S = (I - k)^-1
+turns the first step distance into a componentwise a-priori bound
+k^j S d_0 on the distance to the limit, which drives the stopping rule.
+comparison_solve replaces k by a comparison function phi, which admits no
+computable tail bound: phi is screened on a cone sample first and the
+contraction condition is verified online at every step.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .contraction import (
     check_comparison_axioms,
 )
 from .errors import EvaluationError, PreimageError, UsageError
-from .metric import MetricFn, WeightedMatrixMetric
+from .metric import MetricFn
 from .ordered_algebra import SquareMatrix, Vector, mat_apply, sup_norm
 from .sampling import Sampler, cone_sampler
 
@@ -50,12 +49,18 @@ __all__ = [
 
 MapFn = Callable[[Vector], Vector]
 
-# Residual allowed for a preimage oracle, in the sup norm.
+# Residual allowed for a preimage oracle, in the sup norm, relative to the
+# larger sup norm of the preimage and its target (absolute below 1).
 PREIMAGE_TOL = 1e-12
 
 # Commutation residual below which two maps count as weakly compatible at a
-# coincidence point.
+# coincidence point, relative to the sup norms of the two composed values
+# (absolute below 1).
 WEAK_COMPAT_TOL = 1e-8
+
+# Excess of a step distance over phi of the previous one that the online
+# check of comparison_solve forgives, relative to the values compared.
+_STEP_SLACK = 1e-12
 
 _TAG_FUNCS = {
     "identity": lambda z: z,
@@ -180,7 +185,10 @@ class IterationTrace:
     points holds the value sequence (for coincidence runs, g(x_0) followed
     by the common values f(x_j) = g(x_{j+1})). step_dists[i] is the metric
     distance between points[i] and points[i+1]; bounds[i] is the matching
-    bound vector, so both are one entry shorter than points.
+    bound vector, so both are one entry shorter than points. Under a matrix
+    certificate bounds[i] = k^i S d_0 bounds the distance from points[i] to
+    the limit; under a comparison function it is phi^i(d_0), an envelope of
+    the step distances and not an error bound.
     """
 
     points: list[Vector]
@@ -201,10 +209,13 @@ class IterationTrace:
 
 @dataclass
 class SolveResult:
+    """Outcome of a solve: the point p, its value g(p) and the residual d(f p, g p)."""
+
     point: Vector
     value: Vector
     trace: IterationTrace
     certificate_used: object
+    residual: Vector
     weakly_compatible: bool | None = None
     common_fixed_point: Vector | None = None
     hypothesis_witness: dict | None = None
@@ -241,17 +252,18 @@ def _ll(a: Vector, b: Vector) -> bool:
     return bool(np.all(b.components - a.components > 0.0))
 
 
-def _validate_eps(eps: Vector) -> None:
-    if not np.all(eps.components > 0.0):
-        raise UsageError("eps must be interior: every component strictly positive")
+def _within(value: float, tol: float, *operands: Vector) -> bool:
+    """value <= tol * max(1, sup norms of operands); the norms are taken past tol only."""
+    return value <= tol or value <= tol * max(sup_norm(v) for v in operands)
 
 
 def _checked_preimage(g_solve: MapFn, g: MapFn, y: Vector) -> Vector:
     x = g_solve(y)
     residual = sup_norm(g(x) - y)
-    if not residual <= PREIMAGE_TOL:
+    if not _within(residual, PREIMAGE_TOL, x, y):
         raise PreimageError(
-            f"preimage oracle residual {residual!r} exceeds {PREIMAGE_TOL!r}"
+            f"preimage oracle residual {residual!r} exceeds {PREIMAGE_TOL!r} "
+            f"relative to the operands"
         )
     return x
 
@@ -325,56 +337,6 @@ def apriori_bound(cert: ContractionCertificate, d0: Vector, n: int) -> Vector:
     return Vector(kn @ (cert.S.entries @ d0.components))
 
 
-def _validate_common(metric, x0: Vector, eps: Vector, budget: int) -> None:
-    n = getattr(metric, "n", x0.n)
-    if x0.n != n or eps.n != n:
-        raise UsageError("start point, eps, and metric must share a dimension")
-    _validate_eps(eps)
-    if budget < 1:
-        raise UsageError("budget must be at least 1")
-
-
-def perov_solve(
-    f: MapFn,
-    metric: MetricFn,
-    cert: ContractionCertificate,
-    x0: Vector,
-    eps: Vector,
-    budget: int = 100_000,
-) -> SolveResult:
-    """Iterate a certified self-map to its fixed point.
-
-    Stops once the a-priori bound k^i S d0 or the halved step distance falls
-    strictly below eps; the returned point always satisfies
-    d(f(point), point) strictly below eps componentwise.
-    """
-    _validate_common(metric, x0, eps, budget)
-    if cert.n != x0.n:
-        raise UsageError("certificate dimension does not match the start point")
-    eps_half = 0.5 * eps
-    points = [x0]
-    dists: list[Vector] = []
-    bounds: list[Vector] = []
-    status = SolveStatus.BUDGET_EXHAUSTED
-    x = x0
-    bound: Vector | None = None
-    for i in range(budget):
-        x_next = f(x)
-        d_i = metric(x, x_next)
-        bound = mat_apply(cert.S, d_i) if i == 0 else mat_apply(cert.k, bound)
-        points.append(x_next)
-        dists.append(d_i)
-        bounds.append(bound)
-        x = x_next
-        if (_ll(bound, eps) or _ll(d_i, eps_half)) and _ll(d_i, eps):
-            residual = metric(f(x), x)
-            if _ll(residual, eps):
-                status = SolveStatus.CONVERGED
-                break
-    trace = IterationTrace(points, dists, bounds, status)
-    return SolveResult(point=x, value=x, trace=trace, certificate_used=cert)
-
-
 def _weak_compat_and_polish(
     f: MapFn,
     g: MapFn,
@@ -391,10 +353,8 @@ def _weak_compat_and_polish(
     more pushes through f after g-inversion refine it.
     """
     fp = f(p)
-    gp = g(p)
-    gap = sup_norm(f(gp) - g(fp))
-    compatible = gap <= WEAK_COMPAT_TOL
-    if not compatible:
+    fgp, gfp = f(g(p)), g(fp)
+    if not _within(sup_norm(fgp - gfp), WEAK_COMPAT_TOL, fgp, gfp):
         return False, None
     target = 0.01 * eps
     z = fp
@@ -405,6 +365,126 @@ def _weak_compat_and_polish(
         if np.all(step.components == 0.0) or _ll(step, target):
             break
     return True, z
+
+
+def _iterate(
+    f: MapFn,
+    g: MapFn | None,
+    g_solve: MapFn | None,
+    metric: MetricFn,
+    x0: Vector,
+    eps: Vector,
+    budget: int,
+    cert: ContractionCertificate | None = None,
+    phi: Callable[[Vector], Vector] | None = None,
+) -> SolveResult:
+    """The iteration behind all three solvers; exactly one of cert and phi is given.
+
+    g=None means the identity: no preimage call and no weak-compatibility
+    pass. Bounds start at S d_0 under cert and at d_0 under phi, then follow
+    k or phi. The run stops once the halved step distance, or under cert the
+    bound, falls strictly below eps, provided the step and the residual
+    d(f x, g x) at the new point are below eps too. Under phi, phi is first
+    screened on 128 cone samples, every step distance must stay below phi of
+    the previous one, and an exactly zero step ends the run at the current
+    point.
+    """
+    n = getattr(metric, "n", x0.n)
+    if x0.n != n or eps.n != n:
+        raise UsageError("start point, eps, and metric must share a dimension")
+    if not np.all(eps.components > 0.0):
+        raise UsageError("eps must be interior: every component strictly positive")
+    if budget < 1:
+        raise UsageError("budget must be at least 1")
+    if cert is not None and cert.n != n:
+        raise UsageError("certificate dimension does not match the start point")
+    status = SolveStatus.BUDGET_EXHAUSTED
+    witness: dict | None = None
+    if phi is not None:
+        screen = check_comparison_axioms(phi, cone_sampler(n, seed=1), 128)
+        if not screen.passed:
+            status = SolveStatus.HYPOTHESIS_VIOLATED
+            witness = {"stage": "comparison-axioms", "report": screen}
+            budget = 0  # no step is taken
+    eps_half = 0.5 * eps
+    prev_val = x0 if g is None else g(x0)
+    points = [prev_val]
+    dists: list[Vector] = []
+    bounds: list[Vector] = []
+    x = x0
+    prev_d: Vector | None = None
+    residual: Vector | None = None
+    for j in range(budget):
+        y = f(x)
+        d_j = metric(prev_val, y)
+        if j == 0:
+            bound = d_j if cert is None else mat_apply(cert.S, d_j)
+        else:
+            bound = phi(bound) if cert is None else mat_apply(cert.k, bound)
+        points.append(y)
+        dists.append(d_j)
+        bounds.append(bound)
+        if phi is not None:
+            if j >= 1:
+                dominated = phi(prev_d)
+                excess = float(np.max(d_j.components - dominated.components))
+                if not _within(excess, _STEP_SLACK, prev_val, y, dominated):
+                    status = SolveStatus.HYPOTHESIS_VIOLATED
+                    witness = {
+                        "stage": "online-step",
+                        "step": j,
+                        "step_dist": d_j,
+                        "previous_dist": prev_d,
+                        "comparison_value": dominated,
+                    }
+                    break
+            if np.all(d_j.components == 0.0):
+                # The current point is an exact coincidence point.
+                status = SolveStatus.CONVERGED
+                break
+        x_next = y if g is None else _checked_preimage(g_solve, g, y)
+        certified = cert is not None and _ll(bound, eps)
+        if (certified or _ll(d_j, eps_half)) and _ll(d_j, eps):
+            gap = metric(f(x_next), x_next if g is None else g(x_next))
+            if _ll(gap, eps):
+                status = SolveStatus.CONVERGED
+                x, residual = x_next, gap
+                break
+        prev_val, prev_d, x = y, d_j, x_next
+    value = x if g is None else g(x)
+    if residual is None:
+        residual = metric(f(x), value)
+    weak: bool | None = None
+    common: Vector | None = None
+    if g is not None and status is SolveStatus.CONVERGED:
+        weak, common = _weak_compat_and_polish(f, g, g_solve, metric, x, eps)
+    return SolveResult(
+        point=x,
+        value=value,
+        trace=IterationTrace(points, dists, bounds, status),
+        certificate_used=cert if phi is None else phi,
+        residual=residual,
+        weakly_compatible=weak,
+        common_fixed_point=common,
+        hypothesis_witness=witness,
+    )
+
+
+def perov_solve(
+    f: MapFn,
+    metric: MetricFn,
+    cert: ContractionCertificate,
+    x0: Vector,
+    eps: Vector,
+    budget: int = 100_000,
+) -> SolveResult:
+    """Iterate a certified self-map to its fixed point.
+
+    Stops once the a-priori bound k^i S d0 or the halved step distance falls
+    strictly below eps; the returned point always satisfies
+    d(f(point), point) strictly below eps componentwise.
+    """
+    return _iterate(f, None, None, metric, x0, eps, budget, cert=cert)
 
 
 def jungck_solve(
@@ -424,51 +504,7 @@ def jungck_solve(
     coincidence point p, the value g(p), the weak-compatibility verdict at
     p, and, when that verdict holds, the polished common fixed point.
     """
-    _validate_common(metric, x0, eps, budget)
-    if cert.n != x0.n:
-        raise UsageError("certificate dimension does not match the start point")
-    eps_half = 0.5 * eps
-    gx0 = g(x0)
-    points = [gx0]
-    dists: list[Vector] = []
-    bounds: list[Vector] = []
-    status = SolveStatus.BUDGET_EXHAUSTED
-    x = x0
-    prev_val = gx0
-    p = x0
-    bound: Vector | None = None
-    for j in range(budget):
-        y = f(x)
-        d_j = metric(prev_val, y)
-        bound = mat_apply(cert.S, d_j) if j == 0 else mat_apply(cert.k, bound)
-        points.append(y)
-        dists.append(d_j)
-        bounds.append(bound)
-        x_next = _checked_preimage(g_solve, g, y)
-        if (_ll(bound, eps) or _ll(d_j, eps_half)) and _ll(d_j, eps):
-            residual = metric(f(x_next), g(x_next))
-            if _ll(residual, eps):
-                status = SolveStatus.CONVERGED
-                p = x_next
-                break
-        prev_val = y
-        x = x_next
-    if status is not SolveStatus.CONVERGED:
-        p = x
-    trace = IterationTrace(points, dists, bounds, status)
-    value = g(p)
-    weak: bool | None = None
-    common: Vector | None = None
-    if status is SolveStatus.CONVERGED:
-        weak, common = _weak_compat_and_polish(f, g, g_solve, metric, p, eps)
-    return SolveResult(
-        point=p,
-        value=value,
-        trace=trace,
-        certificate_used=cert,
-        weakly_compatible=weak,
-        common_fixed_point=common,
-    )
+    return _iterate(f, g, g_solve, metric, x0, eps, budget, cert=cert)
 
 
 def comparison_solve(
@@ -480,98 +516,16 @@ def comparison_solve(
     x0: Vector,
     eps: Vector,
     budget: int = 100_000,
-    *,
-    precheck_samples: int = 128,
-    precheck_seed: int = 1,
-    slack: float = 1e-12,
 ) -> SolveResult:
     """Coincidence iteration contracted by a comparison function.
 
-    phi is screened on a preliminary cone sample before iterating; a failed
+    phi is screened on 128 cone samples (seed 1) before iterating; a failed
     screen, like a failed online step check, ends the run with status
     HYPOTHESIS_VIOLATED and a witness attached. The online check requires
-    every step distance to be dominated by phi of the previous one (within
-    slack), which is exactly the chain the convergence argument rests on.
+    every step distance to be dominated by phi of the previous one, which is
+    exactly the chain the convergence argument rests on.
 
     An exactly stationary step means the current point is an exact
     coincidence point and ends the run immediately.
     """
-    _validate_common(metric, x0, eps, budget)
-    n = x0.n
-    precheck = check_comparison_axioms(
-        phi, cone_sampler(n, seed=precheck_seed), precheck_samples
-    )
-    if not precheck.passed:
-        gx0 = g(x0)
-        trace = IterationTrace([gx0], [], [], SolveStatus.HYPOTHESIS_VIOLATED)
-        return SolveResult(
-            point=x0,
-            value=gx0,
-            trace=trace,
-            certificate_used=phi,
-            hypothesis_witness={"stage": "comparison-axioms", "report": precheck},
-        )
-    eps_half = 0.5 * eps
-    gx0 = g(x0)
-    points = [gx0]
-    dists: list[Vector] = []
-    bounds: list[Vector] = []
-    status = SolveStatus.BUDGET_EXHAUSTED
-    witness: dict | None = None
-    x = x0
-    prev_val = gx0
-    prev_d: Vector | None = None
-    bound: Vector | None = None
-    p = x0
-    for j in range(budget):
-        y = f(x)
-        d_j = metric(prev_val, y)
-        bound = d_j if j == 0 else phi(bound)
-        points.append(y)
-        dists.append(d_j)
-        bounds.append(bound)
-        if j >= 1:
-            dominated = phi(prev_d)
-            if np.any(dominated.components - d_j.components < -slack):
-                status = SolveStatus.HYPOTHESIS_VIOLATED
-                witness = {
-                    "stage": "online-step",
-                    "step": j,
-                    "step_dist": d_j,
-                    "previous_dist": prev_d,
-                    "comparison_value": dominated,
-                }
-                p = x
-                break
-        if np.all(d_j.components == 0.0):
-            # The current point is an exact coincidence point.
-            status = SolveStatus.CONVERGED
-            p = x
-            break
-        x_next = _checked_preimage(g_solve, g, y)
-        if _ll(d_j, eps_half):
-            residual = metric(f(x_next), g(x_next))
-            if _ll(residual, eps):
-                status = SolveStatus.CONVERGED
-                p = x_next
-                break
-        prev_val = y
-        prev_d = d_j
-        x = x_next
-    else:
-        p = x
-    trace = IterationTrace(points, dists, bounds, status)
-    value = g(p)
-    weak: bool | None = None
-    common: Vector | None = None
-    if status is SolveStatus.CONVERGED:
-        weak, common = _weak_compat_and_polish(f, g, g_solve, metric, p, eps)
-    return SolveResult(
-        point=p,
-        value=value,
-        trace=trace,
-        certificate_used=phi,
-        weakly_compatible=weak,
-        common_fixed_point=common,
-        hypothesis_witness=witness,
-    )
+    return _iterate(f, g, g_solve, metric, x0, eps, budget, phi=phi)

@@ -9,6 +9,8 @@ makes it fail here instead.
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -21,18 +23,36 @@ def _load_tracer():
     return module
 
 
-def test_tracer_hooks_still_bind():
+def _traced_run(command: str, problem: str):
     import perov.cli
 
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        code = perov.cli.run(
-            ["solve-perov", str(ROOT / "problems" / "budget-exhaust.prob")]
-        )
+        code = perov.cli.run([command, str(ROOT / "problems" / problem)])
     finally:
         tracer.uninstall()
+    return code, tracer
+
+
+def test_tracer_hooks_still_bind():
+    code, tracer = _traced_run("solve-perov", "budget-exhaust.prob")
     assert code == 3
     assert tracer.missing == []
     assert tracer.counters["certify.calls"] == 1
     assert tracer.counters["certify.series_terms"] >= 1
+
+
+# gate calls: solve-jungck runs the Lipschitz gate; solve-comparison runs the
+# CLI's axiom check, the solver's axiom screen and condition C
+@pytest.mark.parametrize(
+    ("command", "stem", "gate_calls"),
+    [("solve-jungck", "jungck-shift", 1), ("solve-comparison", "comparison-half", 3)],
+)
+def test_tracer_counts_every_solve_layer(command, stem, gate_calls):
+    code, tracer = _traced_run(command, f"{stem}.prob")
+    golden = (ROOT / "tests" / "golden" / f"{stem}.{command}.rec").read_text()
+    assert code == 0
+    assert tracer.missing == []
+    assert tracer.counters["iterate.steps"] == golden.count("#REC kind=iter ")
+    assert tracer.counters["gate.calls"] == gate_calls
