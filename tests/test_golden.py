@@ -1,4 +1,4 @@
-"""The `#REC` stream of every shipped command, compared byte for byte.
+"""The `#REC` streams of the shipped commands and three sampled checks, byte for byte.
 
 Criterion 10 only checks that two runs agree with each other; this test pins
 the records themselves, so a refactor that changes any record fails here.
@@ -21,6 +21,13 @@ from test_acceptance import SHIPPED
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
+# sampled checks that no shipped command runs on their own
+SAMPLED = [
+    ("problems/comparison-2d.prob", "check-metric", 0),
+    ("problems/comparison-2d.prob", "check-comparison", 0),
+    ("problems/comparison-2d.prob", "verify-condition-c", 0),
+]
+
 
 def _golden_path(rel: str, command: str) -> pathlib.Path:
     return GOLDEN / f"{pathlib.Path(rel).stem}.{command}.rec"
@@ -36,7 +43,7 @@ def _records(rel: str, command: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize(("rel", "command", "expected_exit"), SHIPPED)
+@pytest.mark.parametrize(("rel", "command", "expected_exit"), SHIPPED + SAMPLED)
 def test_records_match_golden(rel, command, expected_exit):
     expected = _golden_path(rel, command).read_text(encoding="utf-8")
     actual = _records(rel, command)
@@ -46,5 +53,5 @@ def test_records_match_golden(rel, command, expected_exit):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for rel, command, _ in SHIPPED:
+    for rel, command, _ in SHIPPED + SAMPLED:
         _golden_path(rel, command).write_text(_records(rel, command), encoding="utf-8")
