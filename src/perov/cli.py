@@ -73,7 +73,6 @@ _COMMANDS = (
 
 _MAP_PREFIXES = ("f", "g", "g_solve")
 _MAP_SUBKEYS = ("kind", "M", "b", "L", "d", "tags")
-_SCALAR_KEYS = ("n", "budget", "seed")
 _TOP_KEYS = ("n", "W", "k", "lambda", "x0", "eps", "budget", "seed")
 
 _DEFAULT_BUDGET = 100_000
@@ -474,7 +473,8 @@ def _cmd_check_metric(pf: ProblemFile, args) -> int:
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
-def _emit_comparison_axioms(report) -> bool:
+def _comparison_axioms_gate(pf: ProblemFile, phi, samples: int) -> bool:
+    report = check_comparison_axioms(phi, cone_sampler(pf.n, seed=pf.seed), samples)
     print(
         f"comparison axioms: {report.samples_tested} samples, "
         f"shrink={len(report.shrink_violations)} "
@@ -495,7 +495,10 @@ def _emit_comparison_axioms(report) -> bool:
     return report.passed
 
 
-def _emit_condition_c(report) -> bool:
+def _condition_c_gate(pf: ProblemFile, g: MapSpec, phi, samples: int) -> bool:
+    metric = WeightedMatrixMetric(pf.weight)
+    sampler = uniform_sampler(pf.n, seed=pf.seed)
+    report = verify_condition_c(pf.f, g, phi, metric, sampler, samples)
     print(
         f"contraction condition: {report.samples_tested} samples, "
         f"{len(report.violations)} violations, branches {report.branch_counts}"
@@ -516,12 +519,8 @@ def _cmd_check_comparison(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
     if phi is None:
         return EXIT_HYPOTHESIS
-    report = check_comparison_axioms(
-        phi, cone_sampler(pf.n, seed=pf.seed), args.samples
-    )
     print("== comparison axioms ==")
-    ok = _emit_comparison_axioms(report)
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    return EXIT_OK if _comparison_axioms_gate(pf, phi, args.samples) else EXIT_HYPOTHESIS
 
 
 def _cmd_certify(pf: ProblemFile, args) -> int:
@@ -542,11 +541,8 @@ def _cmd_verify_condition_c(pf: ProblemFile, args) -> int:
     if phi is None:
         return EXIT_HYPOTHESIS
     g, _ = _resolve_g(pf)
-    metric = WeightedMatrixMetric(pf.weight)
-    sampler = uniform_sampler(pf.n, seed=pf.seed)
-    report = verify_condition_c(pf.f, g, phi, metric, sampler, args.samples)
     print("== contraction condition ==")
-    return EXIT_OK if _emit_condition_c(report) else EXIT_HYPOTHESIS
+    return EXIT_OK if _condition_c_gate(pf, g, phi, args.samples) else EXIT_HYPOTHESIS
 
 
 def _cmd_solve_perov(pf: ProblemFile, args) -> int:
@@ -583,16 +579,11 @@ def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
         return EXIT_HYPOTHESIS
     g, g_solve = _resolve_g(pf)
     print("== hypothesis check ==")
-    axiom_report = check_comparison_axioms(
-        phi, cone_sampler(pf.n, seed=pf.seed), args.samples
-    )
-    if not _emit_comparison_axioms(axiom_report):
+    if not _comparison_axioms_gate(pf, phi, args.samples):
+        return EXIT_HYPOTHESIS
+    if not _condition_c_gate(pf, g, phi, args.samples):
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
-    sampler = uniform_sampler(pf.n, seed=pf.seed)
-    cond_report = verify_condition_c(pf.f, g, phi, metric, sampler, args.samples)
-    if not _emit_condition_c(cond_report):
-        return EXIT_HYPOTHESIS
     return _emit_solve(
         comparison_solve(pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget)
     )

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotCertifiedError, UsageError
-from .ordered_algebra import SquareMatrix, Vector, mat_apply
-from .sampling import Sampler
+from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped
+from .sampling import Sampler, _draw, _witnesses
 
 __all__ = [
     "ContractionCertificate",
@@ -41,6 +41,12 @@ __all__ = [
 # Hard cap on the certificate residual ring_norm((1 - k) S - 1). Entries of S
 # within CERT_RESIDUAL_MAX * ring_norm(S) below zero are rounding of a zero.
 CERT_RESIDUAL_MAX = 1e-10
+
+# The comparison-axiom check: the rounding its order tests forgive, the phi
+# applications its tail test allows a sample, and the failures it records.
+_COMPARISON_SLACK = 1e-14
+_TAIL_BUDGET = 10_000
+_TAIL_WITNESSES = 10
 
 # Most sharpening solves spent on the Collatz-Wielandt vector. The shifted
 # step converges quadratically on irreducible matrices; reducible and
@@ -192,7 +198,7 @@ class LinearComparison:
     def n(self) -> int:
         return self.gain.n
 
-    def __call__(self, t: Vector) -> Vector:
+    def __call__(self, t):
         return comparison_apply(self, t)
 
 
@@ -204,20 +210,20 @@ def linear_comparison(gain: SquareMatrix, tol: float = 1e-9) -> LinearComparison
     return LinearComparison(gain=gain, certificate=cert, deficiency_in_cone=in_cone)
 
 
-def comparison_apply(phi: LinearComparison, t: Vector) -> Vector:
-    """Apply a linear comparison function to a cone vector."""
-    if np.any(t.components < 0.0):
+def comparison_apply(phi: LinearComparison, t):
+    """Apply a linear comparison function to a cone Vector or a (count, n) stack."""
+    a = _rows(t, phi.n)
+    if np.any(a < 0.0):
         raise UsageError("comparison functions are defined on the cone only")
-    return mat_apply(phi.gain, t)
+    return _shaped(a @ phi.gain.entries.T)
 
 
 @dataclass
 class ComparisonAxiomReport:
     """Outcome of sampling the four comparison-function axioms.
 
-    tail_checked counts the samples actually run through the iterate test;
-    that test stops early once max_tail_violations witnesses are recorded,
-    since each failing sample burns the whole iteration budget.
+    tail_checked counts the samples the iterate test covers, which stops at
+    the _TAIL_WITNESSES-th failure.
     """
 
     samples_tested: int
@@ -237,18 +243,8 @@ class ComparisonAxiomReport:
         )
 
 
-def _leq_with_slack(u: Vector, v: Vector, slack: float) -> bool:
-    return bool(np.all(v.components - u.components >= -slack))
-
-
 def check_comparison_axioms(
-    phi: Callable[[Vector], Vector],
-    sampler: Sampler,
-    count: int,
-    *,
-    iteration_budget: int = 10_000,
-    slack: float = 1e-14,
-    max_tail_violations: int = 10,
+    phi: Callable[[Vector], Vector], sampler: Sampler, count: int
 ) -> ComparisonAxiomReport:
     """Probe a candidate comparison function on sampled cone vectors.
 
@@ -257,57 +253,55 @@ def check_comparison_axioms(
       monotone: phi(t) <= phi(t + s) within slack;
       interior: for interior t, t - phi(t) stays strictly positive;
       tail:     iterates phi^j(t) fall strictly below the interior point s
-                within iteration_budget applications.
+                within _TAIL_BUDGET applications.
 
     The slack covers floating arithmetic only; strictness tests are exact.
-    A constant iterate (phi(u) = u exactly) short-circuits the tail test,
-    since it can never reach the threshold.
+    phi is called on stacks; every eligible sample runs the tail test at once.
     """
-    if count < 1:
-        raise UsageError("sample count must be at least 1")
-    report = ComparisonAxiomReport(samples_tested=count)
-    zero_checked = False
-    tail_open = True
-    for _ in range(count):
-        t = sampler()
-        if np.any(t.components < 0.0):
-            raise UsageError("comparison sampler must produce cone vectors")
-        if not zero_checked:
-            zero = Vector.zeros(t.n)
-            phi_zero = phi(zero)
-            if phi_zero != zero:
-                report.shrink_violations.append((zero, phi_zero))
-            zero_checked = True
-        phi_t = phi(t)
-        nonzero = bool(np.any(t.components != 0.0))
-        if nonzero and not (_leq_with_slack(phi_t, t, slack) and phi_t != t):
-            report.shrink_violations.append((t, phi_t))
-        s = sampler()
-        t2 = t + s
-        phi_t2 = phi(t2)
-        if not _leq_with_slack(phi_t, phi_t2, slack):
-            report.monotone_violations.append((t, t2, phi_t, phi_t2))
-        if np.all(t.components > 0.0):
-            gap = t - phi_t
-            if not np.all(gap.components > 0.0):
-                report.interior_violations.append((t, phi_t))
-        if tail_open and nonzero and np.all(s.components > 0.0):
-            threshold = s
-            u = t
-            reached = bool(np.all(threshold.components - u.components > 0.0))
-            applications = 0
-            while not reached and applications < iteration_budget:
-                u_next = phi(u)
-                applications += 1
-                if not np.all(np.isfinite(u_next.components)):
-                    break
-                if u_next == u:
-                    break
-                u = u_next
-                reached = bool(np.all(threshold.components - u.components > 0.0))
-            report.tail_checked += 1
-            if not reached:
-                report.tail_violations.append((t, threshold, applications))
-                if len(report.tail_violations) >= max_tail_violations:
-                    tail_open = False
-    return report
+    t, s = _draw(sampler, count, 2)
+    if np.any(t < 0.0):
+        raise UsageError("comparison sampler must produce cone vectors")
+    zero, t2 = np.zeros((1, t.shape[1])), t + s
+    phi_zero, phi_t, phi_t2 = phi(zero), phi(t), phi(t2)
+    nonzero = np.any(t != 0.0, axis=1)
+    shrinks = np.all(t - phi_t >= -_COMPARISON_SLACK, axis=1) & np.any(phi_t != t, axis=1)
+    eligible = np.flatnonzero(nonzero & np.all(s > 0.0, axis=1))
+    reached, applications = _tail(phi, t[eligible], s[eligible])
+    failed = np.flatnonzero(~reached)[:_TAIL_WITNESSES]
+    checked = failed[-1] + 1 if len(failed) == _TAIL_WITNESSES else len(eligible)
+    return ComparisonAxiomReport(
+        samples_tested=count,
+        shrink_violations=_witnesses(np.any(phi_zero != 0.0, axis=1), zero, phi_zero)
+        + _witnesses(nonzero & ~shrinks, t, phi_t),
+        monotone_violations=_witnesses(
+            ~np.all(phi_t2 - phi_t >= -_COMPARISON_SLACK, axis=1), t, t2, phi_t, phi_t2
+        ),
+        interior_violations=_witnesses(
+            np.all(t > 0.0, axis=1) & ~np.all(t - phi_t > 0.0, axis=1), t, phi_t
+        ),
+        tail_violations=[
+            (Vector(t[eligible[i]]), Vector(s[eligible[i]]), int(applications[i]))
+            for i in failed
+        ],
+        tail_checked=int(checked),
+    )
+
+
+def _tail(phi, u: np.ndarray, threshold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether phi^j(u) gets below threshold while finite and moving,
+    and j. Overwrites u."""
+    reached = np.all(threshold - u > 0.0, axis=1)
+    applications = np.zeros(len(u), dtype=int)
+    active = np.flatnonzero(~reached)
+    for _ in range(_TAIL_BUDGET):
+        if not active.size:
+            break
+        u_next = phi(u[active])
+        applications[active] += 1
+        moving = np.all(np.isfinite(u_next), axis=1) & np.any(u_next != u[active], axis=1)
+        active, u_next = active[moving], u_next[moving]
+        u[active] = u_next
+        below = np.all(threshold[active] - u_next > 0.0, axis=1)
+        reached[active[below]] = True
+        active = active[~below]
+    return reached, applications

@@ -256,5 +256,19 @@ def mat_apply(a: SquareMatrix, v: Vector) -> Vector:
     return Vector._wrap(a.entries @ v.components)
 
 
+def _rows(x, n: int) -> np.ndarray:
+    """The array behind a Vector or a (count, n) stack, checked to have n columns."""
+    a = x.components if isinstance(x, Vector) else x
+    _same_dim(n, a.shape[-1])
+    return a
+
+
+def _shaped(out: np.ndarray):
+    """A 1-d result as a Vector, a stack as its array; finite either way."""
+    if out.ndim > 1 and not np.isfinite(out).all():
+        raise UsageError("entries must be finite")
+    return Vector._wrap(out) if out.ndim == 1 else out
+
+
 def sup_norm(v: Vector) -> float:
     return float(np.max(np.abs(v.components)))

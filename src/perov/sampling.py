@@ -1,7 +1,9 @@
-"""Seeded vector samplers used by the axiom checkers and hypothesis verifiers.
+"""Seeded point samplers and the single draw behind the hypothesis checks.
 
-Each factory returns a zero-argument callable that owns its own random
-generator, so identical seeds reproduce identical sample streams.
+Each factory returns draw(count), which owns its random generator and gives
+a (count, n) array: the stream of count one-row calls, so identical seeds
+give identical samples. The checks evaluate each map, metric and comparison
+function once on a drawn stack, so those accept a Vector or a (count, n) stack.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .ordered_algebra import Vector
 
 __all__ = ["uniform_sampler", "cone_sampler", "interior_sampler"]
 
-Sampler = Callable[[], Vector]
+Sampler = Callable[[int], np.ndarray]
 
 
 def uniform_sampler(n: int, seed: int = 0, low: float = -10.0, high: float = 10.0) -> Sampler:
@@ -26,8 +28,8 @@ def uniform_sampler(n: int, seed: int = 0, low: float = -10.0, high: float = 10.
         raise UsageError("sampler bounds must satisfy low < high")
     rng = np.random.default_rng(seed)
 
-    def draw() -> Vector:
-        return Vector._wrap(rng.uniform(low, high, n))
+    def draw(count: int) -> np.ndarray:
+        return rng.uniform(low, high, (count, n))
 
     return draw
 
@@ -44,3 +46,16 @@ def interior_sampler(n: int, seed: int = 0, low: float = 1e-3, high: float = 10.
     if low <= 0.0:
         raise UsageError("interior sampler needs low > 0")
     return uniform_sampler(n, seed=seed, low=low, high=high)
+
+
+def _draw(sampler: Sampler, count: int, arity: int) -> tuple[np.ndarray, ...]:
+    """arity (count, n) stacks from one call; sample i is row i of each, in order."""
+    if count < 1:
+        raise UsageError("sample count must be at least 1")
+    block = sampler(count * arity).reshape(count, arity, -1)
+    return tuple(block.swapaxes(0, 1).copy())
+
+
+def _witnesses(mask: np.ndarray, *stacks: np.ndarray) -> list[tuple[Vector, ...]]:
+    """One tuple of Vectors per flagged row, from that row of each stack."""
+    return [tuple(Vector(s[i]) for s in stacks) for i in np.flatnonzero(mask)]

@@ -19,14 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .contraction import (
-    ContractionCertificate,
-    check_comparison_axioms,
-)
+from .contraction import ContractionCertificate, check_comparison_axioms
 from .errors import EvaluationError, PreimageError, UsageError
 from .metric import MetricFn
-from .ordered_algebra import SquareMatrix, Vector, mat_apply, sup_norm
-from .sampling import Sampler, cone_sampler
+from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped, mat_apply, sup_norm
+from .sampling import Sampler, _draw, _witnesses, cone_sampler
 
 __all__ = [
     "MapSpec",
@@ -61,6 +58,10 @@ WEAK_COMPAT_TOL = 1e-8
 # Excess of a step distance over phi of the previous one that the online
 # check of comparison_solve forgives, relative to the values compared.
 _STEP_SLACK = 1e-12
+
+# Excess of d(f x, f y) over its sampled bound that the Lipschitz and
+# condition-C checks forgive, relative to the sup norms of f x, f y, g x, g y.
+_GATE_SLACK = 1e-12
 
 _TAG_FUNCS = {
     "identity": lambda z: z,
@@ -131,20 +132,21 @@ class MapSpec:
     ) -> "MapSpec":
         return cls(kind="componentwise-nonlinear", M=M, b=b, L=L, d=d, tags=tags)
 
-    def __call__(self, x: Vector) -> Vector:
-        if x.n != self.n:
-            raise UsageError("point dimension does not match the map")
+    def __call__(self, x):
+        """Map a Vector to a Vector, or a (count, n) stack of points row by row."""
+        a = _rows(x, self.n)
         # overflow becomes a typed error below, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "affine":
-                raw = self.M.entries @ x.components + self.b.components
+                raw = a @ self.M.entries.T + self.b.components
             else:
-                z = self.L.entries @ x.components + self.d.components
-                u = np.array([_TAG_FUNCS[tag](zi) for tag, zi in zip(self.tags, z)])
-                raw = self.M.entries @ u + self.b.components
-        if not np.all(np.isfinite(raw)):
+                u = a @ self.L.entries.T + self.d.components
+                for i, tag in enumerate(self.tags):
+                    u[..., i] = _TAG_FUNCS[tag](u[..., i])
+                raw = u @ self.M.entries.T + self.b.components
+        if not np.isfinite(raw).all():
             raise EvaluationError("map evaluation produced a non-finite value")
-        return Vector(raw)
+        return _shaped(raw)
 
 
 def identity_map(n: int) -> MapSpec:
@@ -268,6 +270,12 @@ def _checked_preimage(g_solve: MapFn, g: MapFn, y: Vector) -> Vector:
     return x
 
 
+def _gate_slack(*values: np.ndarray) -> np.ndarray:
+    """_GATE_SLACK times max(1, largest sup norm of the values), one row per sample."""
+    scale = np.max(np.abs(np.hstack(values)), axis=1, keepdims=True)
+    return _GATE_SLACK * np.maximum(1.0, scale)
+
+
 def verify_matrix_lipschitz(
     f: MapFn,
     g: MapFn,
@@ -275,21 +283,16 @@ def verify_matrix_lipschitz(
     metric: MetricFn,
     sampler: Sampler,
     count: int,
-    slack: float = 1e-12,
 ) -> LipschitzReport:
-    """Sample pairs and test d(f x, f y) <= k d(g x, g y) within slack."""
-    if count < 1:
-        raise UsageError("sample count must be at least 1")
+    """Sample pairs and test d(f x, f y) <= k d(g x, g y) within _gate_slack."""
     if np.any(k.entries < 0.0):
         raise UsageError("coefficient matrix must have nonnegative entries")
-    report = LipschitzReport(samples_tested=count)
-    for _ in range(count):
-        x, y = sampler(), sampler()
-        lhs = metric(f(x), f(y))
-        rhs = mat_apply(k, metric(g(x), g(y)))
-        if np.any(rhs.components - lhs.components < -slack):
-            report.violations.append((x, y, lhs, rhs))
-    return report
+    x, y = _draw(sampler, count, 2)
+    fx, fy, gx, gy = f(x), f(y), g(x), g(y)
+    lhs = metric(fx, fy)
+    rhs = _rows(metric(gx, gy), k.n) @ k.entries.T
+    bad = np.any(rhs - lhs < -_gate_slack(fx, fy, gx, gy), axis=1)
+    return LipschitzReport(count, _witnesses(bad, x, y, lhs, rhs))
 
 
 def verify_condition_c(
@@ -299,30 +302,25 @@ def verify_condition_c(
     metric: MetricFn,
     sampler: Sampler,
     count: int,
-    slack: float = 1e-12,
 ) -> ConditionCReport:
     """Sample pairs and test the three-branch comparison condition.
 
-    A pair passes when d(f x, f y) <= phi(u) + slack for at least one of
-    u = d(g x, g y), d(g x, f x), d(g y, f y); the first satisfied branch
-    is tallied.
+    A pair passes when d(f x, f y) <= phi(u) for at least one of
+    u = d(g x, g y), d(g x, f x), d(g y, f y), within _gate_slack; the
+    first satisfied branch is tallied.
     """
-    if count < 1:
-        raise UsageError("sample count must be at least 1")
-    report = ConditionCReport(samples_tested=count)
-    for _ in range(count):
-        x, y = sampler(), sampler()
-        fx, fy, gx, gy = f(x), f(y), g(x), g(y)
-        lhs = metric(fx, fy)
-        candidates = (metric(gx, gy), metric(gx, fx), metric(gy, fy))
-        for idx, u in enumerate(candidates):
-            rhs = phi(u)
-            if np.all(rhs.components - lhs.components >= -slack):
-                report.branch_counts[idx] += 1
-                break
-        else:
-            report.violations.append((x, y, lhs) + candidates)
-    return report
+    x, y = _draw(sampler, count, 2)
+    fx, fy, gx, gy = f(x), f(y), g(x), g(y)
+    lhs = metric(fx, fy)
+    slack = _gate_slack(fx, fy, gx, gy)
+    candidates = (metric(gx, gy), metric(gx, fx), metric(gy, fy))
+    unmet = np.ones(count, dtype=bool)
+    counts = []
+    for u in candidates:
+        held = unmet & np.all(phi(u) - lhs >= -slack, axis=1)
+        counts.append(int(held.sum()))
+        unmet &= ~held
+    return ConditionCReport(count, _witnesses(unmet, x, y, lhs, *candidates), counts)
 
 
 def apriori_bound(cert: ContractionCertificate, d0: Vector, n: int) -> Vector:

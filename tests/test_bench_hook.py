@@ -56,3 +56,13 @@ def test_tracer_counts_every_solve_layer(command, stem, gate_calls):
     assert tracer.missing == []
     assert tracer.counters["iterate.steps"] == golden.count("#REC kind=iter ")
     assert tracer.counters["gate.calls"] == gate_calls
+
+
+@pytest.mark.parametrize(
+    "command", ["check-metric", "check-comparison", "verify-condition-c"]
+)
+def test_tracer_spans_each_sampled_check(command):
+    code, tracer = _traced_run(command, "comparison-2d.prob")
+    assert code == 0
+    assert tracer.missing == []
+    assert tracer.counters["gate.calls"] == 1

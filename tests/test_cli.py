@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from perov.cli import (
     parse_problem_text,
     run,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 # a one-dimensional halving problem
@@ -245,6 +249,17 @@ def test_run_lipschitz_violation_exits_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_HYPOTHESIS
     assert "verdict=fail" in out
+
+
+def test_run_lipschitz_slack_scales_with_offsets(tmp_path, capsys):
+    # f = x/3 against g = x/2 + 1000000.3 holds with equality at k = 2/3;
+    # an absolute 1e-12 slack is below the rounding of values near 1e6
+    text = (ROOT / "problems" / "jungck-thirds.prob").read_text()
+    text = text.replace("g.b = 0", "g.b = 1000000.3")
+    code = run(["verify-lipschitz", write(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert "#REC kind=lipschitz samples=1000 violations=0 verdict=pass" in out
+    assert code == EXIT_OK
 
 
 def test_run_solve_gate_blocks_bad_hypothesis(tmp_path, capsys):

@@ -251,6 +251,17 @@ def test_comparison_apply_rejects_negative_argument():
     phi = linear_comparison(mat([[0.5]]))
     with pytest.raises(UsageError):
         comparison_apply(phi, vec(-1.0))
+    with pytest.raises(UsageError):
+        comparison_apply(phi, np.array([[1.0], [-1.0]]))
+    with pytest.raises(UsageError):
+        comparison_apply(phi, np.ones((2, 2)))
+
+
+def test_comparison_apply_on_a_stack_matches_each_row():
+    phi = linear_comparison(mat([[0.5, 0.1], [0.0, 0.4]]))
+    t = np.random.default_rng(22).uniform(0.0, 10.0, (30, 2))
+    rows = np.array([phi(Vector(r)).components for r in t])
+    np.testing.assert_allclose(phi(t), rows, rtol=1e-14, atol=1e-14)
 
 
 def test_comparison_axioms_pass_for_half_gain():
@@ -271,7 +282,7 @@ def test_comparison_axioms_fail_for_identity_callable():
 def test_comparison_axioms_catch_non_monotone():
     # order-reversing on the first component
     def broken(t):
-        return Vector(np.array([0.5 / (1.0 + t.components[0]), 0.5 * t.components[1]]))
+        return np.column_stack([0.5 / (1.0 + t[:, 0]), 0.5 * t[:, 1]])
 
     report = check_comparison_axioms(broken, cone_sampler(2, seed=5), 300)
     assert not report.passed

@@ -70,6 +70,21 @@ def test_matches_scalar_oracle():
         x = Vector(rng.uniform(-5.0, 5.0, n))
         y = Vector(rng.uniform(-5.0, 5.0, n))
         assert np.allclose(m(x, y).components, metric_oracle(w, x, y), atol=1e-13)
+        # a stack of points gives one distance per row
+        xy = np.vstack([x.components, y.components])
+        stacked = m(xy, xy[::-1])
+        assert stacked.shape == (2, n)
+        assert np.allclose(stacked, metric_oracle(w, x, y), atol=1e-13)
+
+
+def test_stack_keeps_the_vector_checks():
+    m = WeightedMatrixMetric(mat([[1.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(UsageError):
+        m(np.zeros((3, 3)), np.zeros((3, 3)))
+    with np.errstate(over="ignore"), pytest.raises(UsageError):
+        m(np.full((2, 2), 1e308), np.full((2, 2), -1e308))
+    with np.errstate(over="ignore"), pytest.raises(UsageError):
+        m(vec(1e308, 0.0), vec(-1e308, 0.0))
 
 
 def test_axioms_pass_for_valid_weight():
@@ -82,8 +97,8 @@ def test_axioms_pass_for_valid_weight():
 def test_axioms_catch_identity_failure():
     # collapses all points within distance 5, so distinct points get zero
     def broken(x, y):
-        gap = np.abs(x.components - y.components)
-        return Vector(np.where(gap < 5.0, 0.0, gap))
+        gap = np.abs(x - y)
+        return np.where(gap < 5.0, 0.0, gap)
 
     report = check_metric_axioms(broken, uniform_sampler(2, seed=6), 200)
     assert not report.passed
@@ -92,8 +107,8 @@ def test_axioms_catch_identity_failure():
 
 def test_axioms_catch_asymmetry():
     def broken(x, y):
-        delta = x.components - y.components
-        return Vector(np.abs(delta) + 0.001 * delta)
+        delta = x - y
+        return np.abs(delta) + 0.001 * delta
 
     report = check_metric_axioms(broken, uniform_sampler(2, seed=7), 200)
     assert not report.passed
@@ -103,7 +118,7 @@ def test_axioms_catch_asymmetry():
 def test_axioms_catch_signed_difference():
     # the raw signed difference leaves the cone whenever x < y somewhere
     def broken(x, y):
-        return Vector(x.components - y.components)
+        return x - y
 
     report = check_metric_axioms(broken, uniform_sampler(2, seed=10), 200)
     assert not report.passed
@@ -113,7 +128,7 @@ def test_axioms_catch_signed_difference():
 def test_axioms_catch_triangle_failure():
     # squaring the coordinate gaps breaks subadditivity
     def broken(x, y):
-        return Vector((x.components - y.components) ** 2)
+        return (x - y) ** 2
 
     report = check_metric_axioms(broken, uniform_sampler(2, seed=8), 500)
     assert not report.passed

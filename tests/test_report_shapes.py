@@ -45,26 +45,26 @@ SCALAR_METRIC = WeightedMatrixMetric(mat([[1.0]]))
 
 def collapse(x, y):
     # distinct points within distance 5 get distance zero
-    gap = np.abs(x.components - y.components)
-    return Vector(np.where(gap < 5.0, 0.0, gap))
+    gap = np.abs(x - y)
+    return np.where(gap < 5.0, 0.0, gap)
 
 
 def asymmetric(x, y):
-    delta = x.components - y.components
-    return Vector(np.abs(delta) + 0.001 * delta)
+    delta = x - y
+    return np.abs(delta) + 0.001 * delta
 
 
 def signed(x, y):
-    return Vector(x.components - y.components)
+    return x - y
 
 
 def squared(x, y):
-    return Vector((x.components - y.components) ** 2)
+    return (x - y) ** 2
 
 
 def non_monotone(t):
     # order-reversing on the first component
-    return Vector(np.array([0.5 / (1.0 + t.components[0]), 0.5 * t.components[1]]))
+    return np.column_stack([0.5 / (1.0 + t[:, 0]), 0.5 * t[:, 1]])
 
 
 def identity_phi(t):

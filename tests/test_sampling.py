@@ -4,42 +4,44 @@ from perov import cone_sampler, interior_sampler, uniform_sampler
 
 
 def test_uniform_sampler_range_and_shape():
-    draw = uniform_sampler(3, seed=0)
-    for _ in range(100):
-        v = draw()
-        assert v.n == 3
-        assert np.all(v.components >= -10.0) and np.all(v.components <= 10.0)
+    block = uniform_sampler(3, seed=0)(100)
+    assert block.shape == (100, 3)
+    assert np.all(block >= -10.0) and np.all(block <= 10.0)
 
 
 def test_cone_sampler_stays_in_cone():
-    draw = cone_sampler(2, seed=1)
-    assert all(np.all(draw().components >= 0.0) for _ in range(100))
+    assert np.all(cone_sampler(2, seed=1)(100) >= 0.0)
 
 
 def test_interior_sampler_stays_interior():
-    draw = interior_sampler(2, seed=2)
-    assert all(np.all(draw().components > 0.0) for _ in range(100))
+    assert np.all(interior_sampler(2, seed=2)(100) > 0.0)
 
 
 def test_same_seed_same_stream():
     a = uniform_sampler(4, seed=9)
     b = uniform_sampler(4, seed=9)
-    for _ in range(20):
-        assert a() == b()
+    assert np.array_equal(a(20), b(20))
+
+
+def test_stream_does_not_depend_on_how_draws_are_split():
+    # every sampled check draws all its samples in one call and relies on
+    # this to reproduce the stream of one draw per point
+    a = uniform_sampler(3, seed=5)
+    b = uniform_sampler(3, seed=5)
+    assert np.array_equal(a(6), np.vstack([b(2), b(4)]))
 
 
 def test_different_seeds_differ():
     a = uniform_sampler(4, seed=1)
     b = uniform_sampler(4, seed=2)
-    assert any(a() != b() for _ in range(5))
+    assert not np.array_equal(a(5), b(5))
 
 
 def test_closures_own_their_state():
     # drawing from one sampler must not advance another
     a = uniform_sampler(2, seed=3)
     b = uniform_sampler(2, seed=3)
-    first = a()
-    for _ in range(10):
-        b()
+    first = a(1)
+    b(10)
     c = uniform_sampler(2, seed=3)
-    assert c() == first
+    assert np.array_equal(c(1), first)

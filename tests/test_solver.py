@@ -91,6 +91,24 @@ def test_map_rejects_overflow():
     f = scalar_map(1e308, 0.0)
     with pytest.raises(EvaluationError):
         f(vec(100.0))
+    with pytest.raises(EvaluationError):
+        f(np.array([[1e-300], [100.0]]))
+
+
+def test_map_on_a_stack_matches_each_row():
+    f = MapSpec.componentwise(
+        mat([[0.5, 0.2], [0.1, 0.4]]), vec(0.5, -0.2),
+        mat([[3.0, 1.0], [0.0, 2.0]]), vec(0.1, 0.0), ("tanh", "atan"),
+    )
+    g = MapSpec.affine(mat([[2.0, 1.0], [0.0, 3.0]]), vec(1.0, 2.0))
+    points = np.random.default_rng(21).uniform(-10.0, 10.0, (50, 2))
+    for m in (f, g):
+        stack = m(points)
+        assert stack.shape == (50, 2)
+        rows = np.array([m(Vector(p)).components for p in points])
+        np.testing.assert_allclose(stack, rows, rtol=1e-14, atol=1e-14)
+        with pytest.raises(UsageError):
+            m(np.zeros((3, 1)))
 
 
 def test_affine_preimage_round_trip():
@@ -137,6 +155,14 @@ def test_lipschitz_fails_for_expansion():
     assert not report.passed
     x, y, lhs, rhs = report.violations[0]
     assert np.any(lhs.components > rhs.components)
+
+
+def test_lipschitz_rejects_coefficient_dimension():
+    with pytest.raises(UsageError):
+        verify_matrix_lipschitz(
+            scalar_map(0.5, 0.0), identity_map(1), mat([[0.5, 0.0], [0.0, 0.5]]),
+            scalar_metric(), uniform_sampler(1, seed=1), 10,
+        )
 
 
 def test_lipschitz_relative_to_g():
