@@ -44,10 +44,17 @@ def test_tracer_hooks_still_bind():
 
 
 # gate calls: solve-jungck runs the Lipschitz gate; solve-comparison runs the
-# CLI's axiom check, the solver's axiom screen and condition C
+# CLI's axiom check, the solver's axiom screen and condition C; each sampled
+# check command runs its one check and iterates nothing
 @pytest.mark.parametrize(
     ("command", "stem", "gate_calls"),
-    [("solve-jungck", "jungck-shift", 1), ("solve-comparison", "comparison-half", 3)],
+    [
+        ("solve-jungck", "jungck-shift", 1),
+        ("solve-comparison", "comparison-half", 3),
+        ("check-metric", "comparison-2d", 1),
+        ("check-comparison", "comparison-2d", 1),
+        ("verify-condition-c", "comparison-2d", 1),
+    ],
 )
 def test_tracer_counts_every_solve_layer(command, stem, gate_calls):
     code, tracer = _traced_run(command, f"{stem}.prob")
@@ -56,13 +63,3 @@ def test_tracer_counts_every_solve_layer(command, stem, gate_calls):
     assert tracer.missing == []
     assert tracer.counters["iterate.steps"] == golden.count("#REC kind=iter ")
     assert tracer.counters["gate.calls"] == gate_calls
-
-
-@pytest.mark.parametrize(
-    "command", ["check-metric", "check-comparison", "verify-condition-c"]
-)
-def test_tracer_spans_each_sampled_check(command):
-    code, tracer = _traced_run(command, "comparison-2d.prob")
-    assert code == 0
-    assert tracer.missing == []
-    assert tracer.counters["gate.calls"] == 1
