@@ -10,8 +10,9 @@ bounds, coincidence-point iteration for pairs of maps, and
 comparison-function generalizations of the linear contraction condition.
 
 Every solver returns the full iteration trace so error bounds can be
-audited after the fact, and every sampled hypothesis check reports the
-witnesses it found rather than a bare verdict.
+audited after the fact, or hands each step to an on_step callback as it
+happens, and every sampled hypothesis check reports the witnesses it found
+rather than a bare verdict.
 """
 
 from .contraction import (
@@ -61,7 +62,6 @@ from .solver import (
     SolveResult,
     SolveStatus,
     affine_preimage,
-    apriori_bound,
     comparison_solve,
     identity_map,
     jungck_solve,
@@ -95,7 +95,6 @@ __all__ = [
     "WEAK_COMPAT_TOL",
     "WeightedMatrixMetric",
     "affine_preimage",
-    "apriori_bound",
     "certify_contraction",
     "check_comparison_axioms",
     "check_metric_axioms",

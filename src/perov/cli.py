@@ -100,8 +100,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _vec_template(n: int) -> str:
+    """A %-template printing n floats as _fmt does, comma-separated."""
+    return ",".join(["%.17g"] * n)
+
+
 def _fmt_vec(v: Vector) -> str:
-    return ",".join(_fmt(c) for c in v.components)
+    return _vec_template(v.n) % tuple(v.components.tolist())
 
 
 def _fmt_mat(m: SquareMatrix) -> str:
@@ -404,13 +409,28 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison | Non
     return phi
 
 
-def _emit_solve(result: SolveResult) -> int:
-    """Emit the iter and result records of a solve and return its exit code."""
-    trace = result.trace
+def _iter_writer(n: int):
+    """A solver's on_step that writes each iter record as the step is taken.
+
+    Each record is one write, so a solve that fails part way has already
+    printed the records of the steps it took.
+    """
+    vec = _vec_template(n)
+    line = f"#REC kind=iter n=%d y={vec} dist={vec} bound={vec}\n"
+    write = sys.stdout.write
+
+    def on_step(j, y, dist, bound):
+        write(line % (j, *y.tolist(), *dist.tolist(), *bound.tolist()))
+
+    return on_step
+
+
+def _solve(n: int, solver, *args) -> int:
+    """Run solver(*args), streaming its iter records; emit the result, return the exit code."""
     print("== iterations ==")
+    result: SolveResult = solver(*args, on_step=_iter_writer(n))
+    trace = result.trace
     print(f"iterations: {trace.iterations}  status: {trace.status.value}")
-    for i, (dist, bound) in enumerate(zip(trace.step_dists, trace.bounds)):
-        _rec("iter", n=i, y=trace.points[i], dist=dist, bound=bound)
     print("== result ==")
     print(f"status: {trace.status.value}")
     print(f"point: {_fmt_vec(result.point)}")
@@ -555,7 +575,7 @@ def _cmd_solve_perov(pf: ProblemFile, args) -> int:
     if cert is None:
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
-    return _emit_solve(perov_solve(pf.f, metric, cert, pf.x0, pf.eps, pf.budget))
+    return _solve(pf.n, perov_solve, pf.f, metric, cert, pf.x0, pf.eps, pf.budget)
 
 
 def _cmd_solve_jungck(pf: ProblemFile, args) -> int:
@@ -568,9 +588,7 @@ def _cmd_solve_jungck(pf: ProblemFile, args) -> int:
     if cert is None:
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
-    return _emit_solve(
-        jungck_solve(pf.f, g, g_solve, metric, cert, pf.x0, pf.eps, pf.budget)
-    )
+    return _solve(pf.n, jungck_solve, pf.f, g, g_solve, metric, cert, pf.x0, pf.eps, pf.budget)
 
 
 def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
@@ -584,8 +602,8 @@ def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
     if not _condition_c_gate(pf, g, phi, args.samples):
         return EXIT_HYPOTHESIS
     metric = WeightedMatrixMetric(pf.weight)
-    return _emit_solve(
-        comparison_solve(pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget)
+    return _solve(
+        pf.n, comparison_solve, pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget
     )
 
 

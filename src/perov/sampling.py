@@ -57,5 +57,10 @@ def _draw(sampler: Sampler, count: int, arity: int) -> tuple[np.ndarray, ...]:
 
 
 def _witnesses(mask: np.ndarray, *stacks: np.ndarray) -> list[tuple[Vector, ...]]:
-    """One tuple of Vectors per flagged row, from that row of each stack."""
-    return [tuple(Vector(s[i]) for s in stacks) for i in np.flatnonzero(mask)]
+    """One tuple of Vectors per flagged row, from that row of each stack.
+
+    Boolean indexing copies the flagged rows of each stack once, as floats,
+    so the Vectors share no memory with the caller's stacks.
+    """
+    picked = [np.asarray(s, dtype=float)[mask] for s in stacks]
+    return [tuple(map(Vector._wrap, rows)) for rows in zip(*picked)]

@@ -9,6 +9,13 @@ k^j S d_0 on the distance to the limit, which drives the stopping rule.
 comparison_solve replaces k by a comparison function phi, which admits no
 computable tail bound: phi is screened on a cone sample first and the
 contraction condition is verified online at every step.
+
+The loop keeps its state as (1, n) arrays and calls f, g, the metric and
+phi in their (count, n) stack form, which checks dimensions and finiteness
+as the Vector form does; values become Vectors only where they leave the
+loop. Each step goes either into the returned IterationTrace or, when the
+caller passes on_step, to that callback as it happens, so a streamed solve
+holds no rows and its memory does not grow with the budget.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from .contraction import ContractionCertificate, check_comparison_axioms
 from .errors import EvaluationError, PreimageError, UsageError
 from .metric import MetricFn
-from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped, mat_apply, sup_norm
+from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped
 from .sampling import Sampler, _draw, _witnesses, cone_sampler
 
 __all__ = [
@@ -36,7 +43,6 @@ __all__ = [
     "ConditionCReport",
     "verify_matrix_lipschitz",
     "verify_condition_c",
-    "apriori_bound",
     "perov_solve",
     "jungck_solve",
     "comparison_solve",
@@ -45,6 +51,7 @@ __all__ = [
 ]
 
 MapFn = Callable[[Vector], Vector]
+StepFn = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 # Residual allowed for a preimage oracle, in the sup norm, relative to the
 # larger sup norm of the preimage and its target (absolute below 1).
@@ -146,7 +153,7 @@ class MapSpec:
                 raw = u @ self.M.entries.T + self.b.components
         if not np.isfinite(raw).all():
             raise EvaluationError("map evaluation produced a non-finite value")
-        return _shaped(raw)
+        return raw if raw.ndim > 1 else Vector._wrap(raw)
 
 
 def identity_map(n: int) -> MapSpec:
@@ -169,7 +176,7 @@ def affine_preimage(g: MapSpec) -> MapFn:
         raise UsageError("map matrix is singular; supply a preimage oracle") from exc
 
     def solve(y: Vector) -> Vector:
-        return Vector(np.linalg.solve(m, y.components - b))
+        return Vector._wrap(np.linalg.solve(m, y.components - b))
 
     return solve
 
@@ -191,22 +198,27 @@ class IterationTrace:
     certificate bounds[i] = k^i S d_0 bounds the distance from points[i] to
     the limit; under a comparison function it is phi^i(d_0), an envelope of
     the step distances and not an error bound.
+
+    A solve given on_step hands each step to it instead: the three lists
+    then stay empty and iterations alone counts the steps taken.
     """
 
     points: list[Vector]
     step_dists: list[Vector]
     bounds: list[Vector]
     status: SolveStatus
+    iterations: int | None = None
 
     def __post_init__(self):
+        if self.iterations is not None:
+            if self.points or self.step_dists or self.bounds:
+                raise UsageError("a streamed trace records no rows")
+            return
         if len(self.step_dists) != len(self.points) - 1:
             raise UsageError("trace step distances must be one shorter than points")
         if len(self.bounds) != len(self.step_dists):
             raise UsageError("trace bounds must align with step distances")
-
-    @property
-    def iterations(self) -> int:
-        return len(self.step_dists)
+        self.iterations = len(self.step_dists)
 
 
 @dataclass
@@ -250,18 +262,24 @@ class ConditionCReport:
         return not self.violations
 
 
-def _ll(a: Vector, b: Vector) -> bool:
-    return bool(np.all(b.components - a.components > 0.0))
+def _vec(row: np.ndarray) -> Vector:
+    """A (1, n) row the loop owns, as a Vector leaving the loop."""
+    return Vector._wrap(row[0])
 
 
-def _within(value: float, tol: float, *operands: Vector) -> bool:
+def _sup(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _within(value: float, tol: float, *operands: np.ndarray) -> bool:
     """value <= tol * max(1, sup norms of operands); the norms are taken past tol only."""
-    return value <= tol or value <= tol * max(sup_norm(v) for v in operands)
+    return value <= tol or value <= tol * max(_sup(a) for a in operands)
 
 
-def _checked_preimage(g_solve: MapFn, g: MapFn, y: Vector) -> Vector:
-    x = g_solve(y)
-    residual = sup_norm(g(x) - y)
+def _checked_preimage(g_solve: MapFn, g: MapFn, y: np.ndarray) -> np.ndarray:
+    """The row g_solve(y) for a (1, n) row y, its residual d(g x, y) checked."""
+    x = g_solve(Vector._wrap(y[0])).components[None]
+    residual = _sup(g(x) - y)
     if not _within(residual, PREIMAGE_TOL, x, y):
         raise PreimageError(
             f"preimage oracle residual {residual!r} exceeds {PREIMAGE_TOL!r} "
@@ -323,28 +341,16 @@ def verify_condition_c(
     return ConditionCReport(count, _witnesses(unmet, x, y, lhs, *candidates), counts)
 
 
-def apriori_bound(cert: ContractionCertificate, d0: Vector, n: int) -> Vector:
-    """The bound vector k^n S d0 on the distance from iterate n to the limit."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise UsageError("iteration index must be a nonnegative integer")
-    if d0.n != cert.n:
-        raise UsageError("distance dimension does not match the certificate")
-    if np.any(d0.components < 0.0):
-        raise UsageError("d0 must lie in the cone")
-    kn = np.linalg.matrix_power(cert.k.entries, int(n))
-    return Vector(kn @ (cert.S.entries @ d0.components))
-
-
 def _weak_compat_and_polish(
     f: MapFn,
     g: MapFn,
     g_solve: MapFn,
     metric: MetricFn,
-    p: Vector,
-    eps: Vector,
+    p: np.ndarray,
+    eps: np.ndarray,
     extra_budget: int = 64,
 ) -> tuple[bool, Vector | None]:
-    """Check commutation at a coincidence point and polish the common point.
+    """Check commutation at a coincidence point (a (1, n) row) and polish the common point.
 
     Weak compatibility asks f(g p) = g(f p) at the coincidence point only.
     When it holds, the shared value is the unique common fixed point; a few
@@ -352,7 +358,7 @@ def _weak_compat_and_polish(
     """
     fp = f(p)
     fgp, gfp = f(g(p)), g(fp)
-    if not _within(sup_norm(fgp - gfp), WEAK_COMPAT_TOL, fgp, gfp):
+    if not _within(_sup(fgp - gfp), WEAK_COMPAT_TOL, fgp, gfp):
         return False, None
     target = 0.01 * eps
     z = fp
@@ -360,9 +366,9 @@ def _weak_compat_and_polish(
         z_next = f(_checked_preimage(g_solve, g, z))
         step = metric(z, z_next)
         z = z_next
-        if np.all(step.components == 0.0) or _ll(step, target):
+        if (step == 0.0).all() or (target - step > 0.0).all():
             break
-    return True, z
+    return True, _vec(z)
 
 
 def _iterate(
@@ -375,6 +381,7 @@ def _iterate(
     budget: int,
     cert: ContractionCertificate | None = None,
     phi: Callable[[Vector], Vector] | None = None,
+    on_step: StepFn | None = None,
 ) -> SolveResult:
     """The iteration behind all three solvers; exactly one of cert and phi is given.
 
@@ -385,7 +392,8 @@ def _iterate(
     d(f x, g x) at the new point are below eps too. Under phi, phi is first
     screened on 128 cone samples, every step distance must stay below phi of
     the previous one, and an exactly zero step ends the run at the current
-    point.
+    point. Each step is recorded in the trace, or passed to on_step when
+    given, before its checks, so a step that breaks a hypothesis is seen too.
     """
     n = getattr(metric, "n", x0.n)
     if x0.n != n or eps.n != n:
@@ -404,47 +412,55 @@ def _iterate(
             status = SolveStatus.HYPOTHESIS_VIOLATED
             witness = {"stage": "comparison-axioms", "report": screen}
             budget = 0  # no step is taken
+    eps = eps.components
     eps_half = 0.5 * eps
-    prev_val = x0 if g is None else g(x0)
-    points = [prev_val]
+    x = x0.components[None]
+    prev_val = x if g is None else g(x)
+    keep = on_step is None
+    points = [_vec(prev_val)] if keep else []
     dists: list[Vector] = []
     bounds: list[Vector] = []
-    x = x0
-    prev_d: Vector | None = None
-    residual: Vector | None = None
+    steps = 0
+    prev_d: np.ndarray | None = None
+    residual: np.ndarray | None = None
     for j in range(budget):
         y = f(x)
         d_j = metric(prev_val, y)
+        # a @ M.T on a row is bitwise M @ a; _shaped keeps the finiteness check
         if j == 0:
-            bound = d_j if cert is None else mat_apply(cert.S, d_j)
+            bound = d_j if cert is None else _shaped(d_j @ cert.S.entries.T)
         else:
-            bound = phi(bound) if cert is None else mat_apply(cert.k, bound)
-        points.append(y)
-        dists.append(d_j)
-        bounds.append(bound)
+            bound = phi(bound) if cert is None else _shaped(bound @ cert.k.entries.T)
+        if keep:
+            points.append(_vec(y))
+            dists.append(_vec(d_j))
+            bounds.append(_vec(bound))
+        else:
+            on_step(j, prev_val[0], d_j[0], bound[0])
+        steps = j + 1
         if phi is not None:
             if j >= 1:
                 dominated = phi(prev_d)
-                excess = float(np.max(d_j.components - dominated.components))
+                excess = float(np.max(d_j - dominated))
                 if not _within(excess, _STEP_SLACK, prev_val, y, dominated):
                     status = SolveStatus.HYPOTHESIS_VIOLATED
                     witness = {
                         "stage": "online-step",
                         "step": j,
-                        "step_dist": d_j,
-                        "previous_dist": prev_d,
-                        "comparison_value": dominated,
+                        "step_dist": _vec(d_j),
+                        "previous_dist": _vec(prev_d),
+                        "comparison_value": _vec(dominated),
                     }
                     break
-            if np.all(d_j.components == 0.0):
+            if (d_j == 0.0).all():
                 # The current point is an exact coincidence point.
                 status = SolveStatus.CONVERGED
                 break
         x_next = y if g is None else _checked_preimage(g_solve, g, y)
-        certified = cert is not None and _ll(bound, eps)
-        if (certified or _ll(d_j, eps_half)) and _ll(d_j, eps):
+        certified = cert is not None and (eps - bound > 0.0).all()
+        if (certified or (eps_half - d_j > 0.0).all()) and (eps - d_j > 0.0).all():
             gap = metric(f(x_next), x_next if g is None else g(x_next))
-            if _ll(gap, eps):
+            if (eps - gap > 0.0).all():
                 status = SolveStatus.CONVERGED
                 x, residual = x_next, gap
                 break
@@ -457,11 +473,13 @@ def _iterate(
     if g is not None and status is SolveStatus.CONVERGED:
         weak, common = _weak_compat_and_polish(f, g, g_solve, metric, x, eps)
     return SolveResult(
-        point=x,
-        value=value,
-        trace=IterationTrace(points, dists, bounds, status),
+        point=_vec(x),
+        value=_vec(value),
+        trace=IterationTrace(points, dists, bounds, status)
+        if keep
+        else IterationTrace([], [], [], status, steps),
         certificate_used=cert if phi is None else phi,
-        residual=residual,
+        residual=_vec(residual),
         weakly_compatible=weak,
         common_fixed_point=common,
         hypothesis_witness=witness,
@@ -475,14 +493,22 @@ def perov_solve(
     x0: Vector,
     eps: Vector,
     budget: int = 100_000,
+    *,
+    on_step: StepFn | None = None,
 ) -> SolveResult:
     """Iterate a certified self-map to its fixed point.
 
     Stops once the a-priori bound k^i S d0 or the halved step distance falls
     strictly below eps; the returned point always satisfies
     d(f(point), point) strictly below eps componentwise.
+
+    f and the metric are called on (1, n) stacks. Given on_step, each step j
+    calls on_step(j, y, dist, bound) with 1-d arrays, the entries
+    trace.points[j], trace.step_dists[j] and trace.bounds[j] would hold, as
+    the step is taken; the trace then records no rows, only the step count.
+    The arrays belong to the loop and must not be modified.
     """
-    return _iterate(f, None, None, metric, x0, eps, budget, cert=cert)
+    return _iterate(f, None, None, metric, x0, eps, budget, cert=cert, on_step=on_step)
 
 
 def jungck_solve(
@@ -494,15 +520,19 @@ def jungck_solve(
     x0: Vector,
     eps: Vector,
     budget: int = 100_000,
+    *,
+    on_step: StepFn | None = None,
 ) -> SolveResult:
     """Drive the coincidence iteration f(x_j) = g(x_{j+1}) to its limit.
 
-    g is inverted through g_solve, whose residual is checked at every step
-    (a breach raises PreimageError). On convergence the result carries the
-    coincidence point p, the value g(p), the weak-compatibility verdict at
-    p, and, when that verdict holds, the polished common fixed point.
+    g is inverted through g_solve, a Vector -> Vector oracle whose residual
+    is checked at every step (a breach raises PreimageError). On convergence
+    the result carries the coincidence point p, the value g(p), the
+    weak-compatibility verdict at p, and, when that verdict holds, the
+    polished common fixed point. f, g, the metric and on_step are used as in
+    perov_solve.
     """
-    return _iterate(f, g, g_solve, metric, x0, eps, budget, cert=cert)
+    return _iterate(f, g, g_solve, metric, x0, eps, budget, cert=cert, on_step=on_step)
 
 
 def comparison_solve(
@@ -514,6 +544,8 @@ def comparison_solve(
     x0: Vector,
     eps: Vector,
     budget: int = 100_000,
+    *,
+    on_step: StepFn | None = None,
 ) -> SolveResult:
     """Coincidence iteration contracted by a comparison function.
 
@@ -524,6 +556,8 @@ def comparison_solve(
     exactly the chain the convergence argument rests on.
 
     An exactly stationary step means the current point is an exact
-    coincidence point and ends the run immediately.
+    coincidence point and ends the run immediately. phi is called on (1, n)
+    stacks like f, g and the metric; g_solve and on_step are used as in
+    jungck_solve.
     """
-    return _iterate(f, g, g_solve, metric, x0, eps, budget, phi=phi)
+    return _iterate(f, g, g_solve, metric, x0, eps, budget, phi=phi, on_step=on_step)

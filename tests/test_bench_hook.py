@@ -62,4 +62,6 @@ def test_tracer_counts_every_solve_layer(command, stem, gate_calls):
     assert code == 0
     assert tracer.missing == []
     assert tracer.counters["iterate.steps"] == golden.count("#REC kind=iter ")
+    # streamed iter records must each be one write for this count to hold
+    assert tracer.counters["cli.emit.records"] == golden.count("#REC ")
     assert tracer.counters["gate.calls"] == gate_calls

@@ -2,13 +2,17 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perov import UsageError
+from perov import UsageError, Vector
 from perov.cli import (
     EXIT_BUDGET,
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_USAGE,
+    _fmt_vec,
+    _vec_template,
     format_problem,
     parse_problem,
     parse_problem_text,
@@ -327,3 +331,61 @@ def test_records_use_full_precision(tmp_path, capsys):
     point_text = result_line.split("point=")[1].split(" ")[0]
     assert abs(float(point_text) - 0.2) < 1e-9
     assert format(float(point_text), ".17g") == point_text
+
+
+BREACH = """\
+# g_solve inverts g only while the first component is exactly 0
+n = 3
+W = 1, 1, 1; 1, 1, 1; 1, 1, 1
+f.kind = affine
+f.M = 0, 0.5, 0; 0, 0, 0.5; 0, 0, 0
+f.b = 0, 0, 1
+g.kind = affine
+g.M = 1, 0, 0; 0, 1, 0; 0, 0, 1
+g.b = 0, 0, 0
+g_solve.kind = affine
+g_solve.M = 1, 0, 0; 0, 1, 0; 1, 0, 1
+g_solve.b = 0, 0, 0
+k = 0.5, 0, 0; 0, 0.5, 0; 0, 0, 0.5
+x0 = 0, 0, 0
+eps = 1e-10
+"""
+
+
+def test_iter_records_stream_before_a_mid_solve_breach(tmp_path, capsys):
+    # steps 0 and 1 keep the first component at exactly 0; step 2 leaves it
+    # and the preimage check fails, after that step's record is out
+    code = run(["solve-jungck", write(tmp_path, BREACH)])
+    out = capsys.readouterr().out
+    assert code == EXIT_HYPOTHESIS
+    tail = out.split("== iterations ==\n")[1]
+    assert tail == (
+        "#REC kind=iter n=0 y=0,0,0 dist=1,1,1 bound=2,2,2\n"
+        "#REC kind=iter n=1 y=0,0,1 dist=0.5,0.5,0.5 bound=1,1,1\n"
+        "#REC kind=iter n=2 y=0,0.5,1 dist=0.25,0.25,0.25 bound=0.5,0.5,0.5\n"
+        "hypothesis breach: preimage oracle residual 0.25 exceeds 1e-12 "
+        "relative to the operands\n"
+        "#REC kind=exit code=2\n"
+    )
+
+
+_EDGE_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_DOUBLES)
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_vector_template_matches_format(values):
+    expected = ",".join(format(float(c), ".17g") for c in values)
+    assert _vec_template(len(values)) % tuple(values) == expected
+    assert _fmt_vec(Vector(np.array(values))) == expected

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from perov import cone_sampler, interior_sampler, uniform_sampler
+from perov import check_metric_axioms, cone_sampler, interior_sampler, uniform_sampler
+from perov.sampling import _witnesses
 
 
 def test_uniform_sampler_range_and_shape():
@@ -45,3 +47,39 @@ def test_closures_own_their_state():
     b(10)
     c = uniform_sampler(2, seed=3)
     assert np.array_equal(c(1), first)
+
+
+def test_witnesses_are_read_only_copies_of_the_flagged_rows():
+    x = np.arange(6.0).reshape(3, 2)
+    d = np.array([[1, 2], [3, 4], [5, 6]])  # an integer stack becomes floats
+    witnesses = _witnesses(np.array([True, False, True]), x, d)
+    x[:] = -1.0
+    d[:] = -1
+    assert [[v.components.tolist() for v in w] for w in witnesses] == [
+        [[0.0, 1.0], [1.0, 2.0]],
+        [[4.0, 5.0], [5.0, 6.0]],
+    ]
+    for w in witnesses:
+        for v in w:
+            assert v.components.dtype == float
+            with pytest.raises(ValueError):
+                v.components[0] = 7.0
+
+
+def test_check_witnesses_outlive_the_candidates_stacks():
+    # a candidate metric that hands out one buffer and overwrites it later
+    buffers = []
+
+    def reused(a, b):
+        out = np.abs(a - b) * -1.0  # every sample violates d1's sign test
+        buffers.append(out)
+        return out
+
+    report = check_metric_axioms(reused, uniform_sampler(2, seed=3), 5)
+    first = [v.components.copy() for v in report.d1_violations[0]]
+    for buf in buffers:
+        buf[:] = 123.0
+    assert all(
+        np.array_equal(v.components, c) for v, c in zip(report.d1_violations[0], first)
+    )
+    assert not report.d1_violations[0][2].components.flags.writeable

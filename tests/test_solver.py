@@ -1,10 +1,12 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from perov import (
     EvaluationError,
+    IterationTrace,
     MapSpec,
     PreimageError,
     SolveStatus,
@@ -13,7 +15,6 @@ from perov import (
     Vector,
     WeightedMatrixMetric,
     affine_preimage,
-    apriori_bound,
     certify_contraction,
     comparison_solve,
     identity_map,
@@ -199,37 +200,52 @@ def test_condition_c_catches_expansion():
 # -- a-priori bounds ---------------------------------------------------------
 
 
+def apriori_bounds(cert, d0, count):
+    """k^i S d0 for i < count, by the products the solver is documented to use."""
+    bound = cert.S.entries @ d0
+    out = [bound]
+    for _ in range(count - 1):
+        bound = cert.k.entries @ bound
+        out.append(bound)
+    return out
+
+
 def test_apriori_bound_frozen():
+    # d0 = W |f(0) - 0| = (1, 0.5), S = 2 I: bounds[2] = k^2 S d0 = (0.5, 0.25)
     cert = certify_contraction(mat([[0.5, 0.0], [0.0, 0.5]]), 1e-9)
-    b2 = apriori_bound(cert, vec(1.0, 0.0), 2)
-    assert np.allclose(b2.components, [0.5, 0.0], atol=1e-9)
+    f = MapSpec.affine(mat([[0.5, 0.0], [0.0, 0.5]]), vec(1.0, 0.0))
+    metric = WeightedMatrixMetric(mat([[1.0, 0.5], [0.5, 1.0]]))
+    res = perov_solve(f, metric, cert, Vector.zeros(2), Vector.full(2, 1e-10), 3)
+    d0 = res.trace.step_dists[0].components
+    assert d0.tolist() == [1.0, 0.5]
+    assert res.trace.bounds[2].components.tolist() == [0.5, 0.25]
+    for bound, expected in zip(res.trace.bounds, apriori_bounds(cert, d0, 3)):
+        assert np.array_equal(bound.components, expected)
 
 
 def test_apriori_bound_zero_iterations_is_total():
     cert = certify_contraction(mat([[0.5]]), 1e-9)
-    b0 = apriori_bound(cert, vec(1.0), 0)
-    # the full telescoped series sums to 2 for gain one half
-    assert abs(b0.components[0] - 2.0) < 1e-9
+    res = perov_solve(scalar_map(0.5, 1.0), scalar_metric(), cert, vec(0.0), EPS1, 1)
+    assert res.trace.step_dists[0] == vec(1.0)
+    # the full telescoped series sums to 2 for gain one half: the whole way to x* = 2
+    assert abs(res.trace.bounds[0].components[0] - 2.0) < 1e-9
 
 
 def test_apriori_bound_nonincreasing():
-    cert = certify_contraction(mat([[0.5, 0.2], [0.1, 0.6]]), 1e-9)
-    d0 = vec(1.0, 2.0)
-    prev = apriori_bound(cert, d0, 0)
-    for n in range(1, 30):
-        cur = apriori_bound(cert, d0, n)
-        assert np.all(cur.components <= prev.components + 1e-12)
-        prev = cur
-
-
-def test_apriori_bound_validation():
-    cert = certify_contraction(mat([[0.5]]), 1e-9)
-    with pytest.raises(UsageError):
-        apriori_bound(cert, vec(1.0), -1)
-    with pytest.raises(UsageError):
-        apriori_bound(cert, vec(-1.0), 1)
-    with pytest.raises(UsageError):
-        apriori_bound(cert, vec(1.0, 1.0), 1)
+    k = mat([[0.5, 0.2], [0.1, 0.6]])
+    cert = certify_contraction(k, 1e-9)
+    # d0 = W |f(0)| = (1, 2)
+    f = MapSpec.affine(k, vec(1.0, 1.0))
+    metric = WeightedMatrixMetric(mat([[0.5, 0.5], [1.0, 1.0]]))
+    res = perov_solve(f, metric, cert, Vector.zeros(2), Vector.full(2, 1e-10), 30)
+    d0 = res.trace.step_dists[0].components
+    assert d0.tolist() == [1.0, 2.0]
+    bounds = [b.components for b in res.trace.bounds]
+    assert len(bounds) == 30
+    for prev, cur in zip(bounds, bounds[1:]):
+        assert np.all(cur <= prev + 1e-12)
+    for bound, expected in zip(bounds, apriori_bounds(cert, d0, 30)):
+        assert np.array_equal(bound, expected)
 
 
 # -- fixed-point solver -------------------------------------------------------
@@ -529,6 +545,89 @@ def test_perov_is_jungck_with_identity(seed):
         for u, v in zip(left, right):
             assert np.array_equal(u.components, v.components)
     assert np.array_equal(a.point.components, b.point.components)
+
+
+def _random_problem(kind, seed, **options):
+    """One seeded affine problem, solved by the named wrapper."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    m = rng.uniform(0.0, 1.0, (n, n))
+    m *= rng.uniform(0.3, 0.9) / m.sum(axis=1).max()
+    b = rng.uniform(-10.0, 10.0, n)
+    f = MapSpec.affine(SquareMatrix(m), Vector(b))
+    # g = s x + c commutes with f when (m - 1) c = (s - 1) b, so the
+    # coincidence solvers also polish a common fixed point
+    s = rng.uniform(0.8, 1.25)
+    c = np.linalg.solve(m - np.eye(n), (s - 1.0) * b)
+    g = MapSpec.affine(SquareMatrix.diagonal(np.full(n, s)), Vector(c))
+    metric = WeightedMatrixMetric(SquareMatrix(rng.uniform(0.1, 1.0, (n, n))))
+    x0, eps = Vector(rng.uniform(-10.0, 10.0, n)), Vector.full(n, 1e-10)
+    if kind == "perov":
+        cert = certify_contraction(SquareMatrix(m), 1e-9)
+        return perov_solve(f, metric, cert, x0, eps, 500, **options)
+    if kind == "jungck":
+        cert = certify_contraction(SquareMatrix(m), 1e-9)
+        return jungck_solve(f, g, affine_preimage(g), metric, cert, x0, eps, 500, **options)
+    phi = linear_comparison(SquareMatrix.diagonal(np.full(n, 0.95)))
+    return comparison_solve(f, g, affine_preimage(g), phi, metric, x0, eps, 500, **options)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["perov", "jungck", "comparison"])
+def test_on_step_streams_what_the_trace_records(kind, seed):
+    recorded = _random_problem(kind, seed)
+    rows = []
+
+    def on_step(j, y, dist, bound):
+        rows.append((j, y.copy(), dist.copy(), bound.copy()))
+
+    streamed = _random_problem(kind, seed, on_step=on_step)
+    trace = recorded.trace
+    assert streamed.trace.points == streamed.trace.step_dists == streamed.trace.bounds == []
+    assert streamed.trace.iterations == trace.iterations == len(rows) > 0
+    assert streamed.trace.status is trace.status
+    for i, (j, y, dist, bound) in enumerate(rows):
+        assert j == i
+        assert np.array_equal(y, trace.points[i].components)
+        assert np.array_equal(dist, trace.step_dists[i].components)
+        assert np.array_equal(bound, trace.bounds[i].components)
+    assert streamed.point == recorded.point
+    assert streamed.value == recorded.value
+    assert streamed.residual == recorded.residual
+    assert streamed.weakly_compatible is recorded.weakly_compatible
+    assert streamed.common_fixed_point == recorded.common_fixed_point
+
+
+def test_streamed_trace_holds_no_rows():
+    assert IterationTrace([], [], [], SolveStatus.CONVERGED, 3).iterations == 3
+    with pytest.raises(UsageError):
+        IterationTrace([vec(0.0)], [], [], SolveStatus.CONVERGED, 3)
+
+
+def test_streamed_solve_memory_does_not_grow_with_budget():
+    n = 16
+    k = SquareMatrix.diagonal(np.full(n, 0.999))
+    f = MapSpec.affine(k, Vector(np.linspace(-1.0, 1.0, n)))
+    metric = WeightedMatrixMetric(SquareMatrix(np.ones((n, n))))
+    cert = certify_contraction(k, 1e-9)
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            res = perov_solve(
+                f, metric, cert, Vector.zeros(n), Vector.full(n, 1e-12), budget,
+                on_step=lambda j, y, dist, bound: None,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.trace.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.trace.iterations == budget
+        return peak
+
+    small, large = peak(2_000), peak(20_000)
+    # a recorded trace holds about 1 KB per step here, 20 MB at the larger budget
+    assert large <= small + 16_384
 
 
 def _residual_cases():
