@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from perov.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_USAGE,
+    _build_parser,
     _fmt_vec,
     _vec_template,
     format_problem,
@@ -288,6 +292,60 @@ def test_run_missing_file_exits_64(tmp_path):
 
 def test_run_unknown_command_exits_64(tmp_path):
     assert run(["conjure", write(tmp_path, MINIMAL)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags", [["--bogus"], ["--samples", "many"], ["--tol"], ["extra"]])
+def test_run_bad_flag_exits_64(tmp_path, capsys, flags):
+    assert run(["check-metric", write(tmp_path, PLANAR), *flags]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-metric", "PATH", "--samples=150", "--tol", "1e-6"],
+        ["check-metric", "--samples", "150", "PATH", "--tol=1e-6"],
+        ["check-metric", "--tol", "1e-6", "--samples=150", "PATH"],
+    ],
+)
+def test_options_parse_in_either_form_and_position(tmp_path, capsys, argv):
+    path = write(tmp_path, PLANAR)
+    argv = [path if a == "PATH" else a for a in argv]
+    args = _build_parser().parse_args(argv)
+    assert (args.command, args.problem, args.samples, args.tol) == ("check-metric", path, 150, 1e-6)
+    assert run(argv) == EXIT_OK
+    assert "kind=metric_axioms samples=150 " in capsys.readouterr().out
+
+
+def test_defaults_when_no_options_are_given():
+    args = _build_parser().parse_args(["certify", "p.prob"])
+    assert (args.samples, args.tol) == (1000, 1e-9)
+
+
+def test_sampled_commands_leave_numpy_random_unimported():
+    # the samplers reproduce numpy's stream without importing numpy.random,
+    # whose import costs ~15 ms per run; only a fresh interpreter shows it
+    cases = [
+        ("check-metric", "comparison-2d", 0),
+        ("verify-lipschitz", "broken-lipschitz", 2),
+        ("solve-perov", "linear44", 0),
+        ("solve-comparison", "comparison-2d", 0),
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from perov.cli import run\n"
+        "for command, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = run([command, path])\n"
+        "    print(command, code, 'numpy.random' in sys.modules)\n"
+    )
+    argv = [a for c, stem, _ in cases for a in (c, str(ROOT / "problems" / f"{stem}.prob"))]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{c} {code} False" for c, _, code in cases]
 
 
 def test_run_check_metric(tmp_path, capsys):

@@ -1,8 +1,85 @@
+import math
+
 import numpy as np
 import pytest
 
-from perov import check_metric_axioms, cone_sampler, interior_sampler, uniform_sampler
-from perov.sampling import _witnesses
+from perov import (
+    UsageError,
+    check_metric_axioms,
+    cone_sampler,
+    interior_sampler,
+    uniform_sampler,
+)
+from perov.sampling import _LANE, _LANES, _witnesses
+
+CHUNK = _LANE * _LANES  # draws generated at once
+
+# seeds of one to six 32-bit words, with SeedSequence's word boundaries
+REFERENCE_SEEDS = list(range(200)) + [
+    2**32 - 1,
+    2**32,
+    2**64 + 9,
+    2**130 + 5,
+    0x9E3779B97F4A7C15F39CC0605CEDC834,
+    0xB5AD4ECEDA1CE2A9_1C8A2B3F_0E6D5A47_5F3C2E1D_77AA0123,
+    314159265358979323846264338327950288419716939937510,
+]
+
+RANGES = [
+    (uniform_sampler, -10.0, 10.0),
+    (cone_sampler, 0.0, 10.0),
+    (interior_sampler, 1e-3, 10.0),
+]
+
+
+def _assert_matches_default_rng(factory, low, high, seed, n, counts):
+    # numpy.random is the reference here only: perov never imports it
+    draw = factory(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    for count in counts:
+        got = draw(count)
+        want = rng.uniform(low, high, (count, n))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, n, count)
+
+
+@pytest.mark.parametrize(("factory", "low", "high"), RANGES)
+def test_samplers_reproduce_default_rng_bit_for_bit(factory, low, high):
+    # split calls that cross lane boundaries (_LANE draws) on every seed
+    for seed in REFERENCE_SEEDS:
+        n = 1 + seed % 4
+        _assert_matches_default_rng(factory, low, high, seed, n, [1, 3, 64, 200, 0, 7])
+
+
+@pytest.mark.parametrize(("factory", "low", "high"), RANGES)
+def test_samplers_reproduce_default_rng_across_chunks(factory, low, high):
+    for seed in REFERENCE_SEEDS[::25] + REFERENCE_SEEDS[200:]:
+        n = 1 + seed % 4
+        below, above = (CHUNK - 1) // n, CHUNK // n + 1
+        _assert_matches_default_rng(factory, low, high, seed, n, [below])
+        _assert_matches_default_rng(factory, low, high, seed, n, [CHUNK // n])
+        _assert_matches_default_rng(factory, low, high, seed, n, [above, 5, below, 2 * above])
+
+
+def test_numpy_integer_seeds_are_ints():
+    a = uniform_sampler(2, seed=np.uint64(2**63 + 1))(50)
+    assert np.array_equal(a, uniform_sampler(2, seed=2**63 + 1)(50))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+def test_seed_must_be_a_nonnegative_int(seed):
+    # seed=None would draw OS entropy, and a float seed has no stream
+    with pytest.raises(UsageError, match="seed"):
+        uniform_sampler(1, seed=seed)
+
+
+def test_uniform_bounds_must_have_a_finite_width():
+    with pytest.raises(UsageError, match="finite"):
+        uniform_sampler(1, low=-1e308, high=1e308)
+
+
+def test_cone_bound_must_be_finite():
+    with pytest.raises(UsageError, match="finite"):
+        cone_sampler(1, high=math.inf)
 
 
 def test_uniform_sampler_range_and_shape():
