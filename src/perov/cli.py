@@ -2,10 +2,11 @@
 
 Problems are described by line-oriented files of `key = value` pairs
 (matrices as semicolon-separated rows, vectors as comma-separated
-components) and driven through subcommands for axiom checking,
-certification, hypothesis verification, and solving. Reports interleave
-human-readable sections with machine lines prefixed `#REC `; identical
-problem files and seeds reproduce the machine lines byte for byte.
+components) and driven by one of eight commands for axiom checking,
+certification, hypothesis verification, and solving; `perov --help` lists
+them and the two options. Reports interleave human-readable sections with
+machine lines prefixed `#REC `; identical problem files and seeds reproduce
+the machine lines byte for byte.
 
 Exit codes: 0 success or converged, 2 hypothesis violation or failed
 certification, 3 iteration budget exhausted, 64 usage or parse errors.
@@ -13,7 +14,6 @@ certification, 3 iteration budget exhausted, 64 usage or parse errors.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass
 
@@ -59,17 +59,6 @@ _STATUS_EXIT = {
     SolveStatus.BUDGET_EXHAUSTED: EXIT_BUDGET,
     SolveStatus.HYPOTHESIS_VIOLATED: EXIT_HYPOTHESIS,
 }
-
-_COMMANDS = (
-    "check-metric",
-    "check-comparison",
-    "certify",
-    "solve-perov",
-    "solve-jungck",
-    "solve-comparison",
-    "verify-lipschitz",
-    "verify-condition-c",
-)
 
 _MAP_PREFIXES = ("f", "g", "g_solve")
 _MAP_SUBKEYS = ("kind", "M", "b", "L", "d", "tags")
@@ -619,40 +608,90 @@ _HANDLERS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+_USAGE = """\
+usage: perov COMMAND PROBLEM [--samples N] [--tol T]
+
+Check the hypotheses of one problem file, certify them, or solve it.
+
+commands:
+  check-metric        sample the three distance axioms for the weight W
+  check-comparison    sample the four comparison axioms for the gain lambda
+  certify             certify the coefficient matrix k
+  solve-perov         fixed point of the self-map f
+  solve-jungck        coincidence point of (f, g)
+  solve-comparison    coincidence point under a comparison-function gain
+  verify-lipschitz    sample the matrix coefficient inequality for (f, g, k)
+  verify-condition-c  sample the three-branch comparison inequality
+
+options, before, between or after COMMAND and PROBLEM (the last one given wins):
+  --samples N, --samples=N  samples per sampled check, an integer >= 1
+                            (default 1000)
+  --tol T, --tol=T          certification margin, a number with 0 < T < 1
+                            (default 1e-9)
+  -h, --help                print this text and exit
+
+exit codes: 0 success, 2 hypothesis failure, 3 budget exhausted, 64 usage error
+"""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # one parser with the command as a positional: every command takes the
-    # same arguments, and a subparser per command costs ~2 ms per run
-    parser = _Parser(
-        prog="perov",
-        description="Vector-metric fixed-point and coincidence-point toolkit",
-    )
-    parser.add_argument("command", choices=_COMMANDS, help="what to do with the problem")
-    parser.add_argument("problem", help="path to a problem file")
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=1000,
-        help="sample count for the sampling checks (default 1000)",
-    )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="certification margin below 1 (default 1e-9)",
-    )
-    return parser
+@dataclass(frozen=True)
+class _Args:
+    command: str
+    problem: str
+    samples: int
+    tol: float
+
+
+# each option's text when it is not given; it goes through the same checks
+_DEFAULTS = {"--samples": "1000", "--tol": "1e-9"}
+
+
+def _option(text: str, name: str, convert, valid, rule: str):
+    try:
+        value = convert(text)
+        if valid(value):
+            return value
+    except ValueError:
+        pass
+    raise UsageError(f"{name} must be {rule}, got {text!r}")
+
+
+def _scan(argv: list[str]) -> _Args:
+    """COMMAND, PROBLEM and the options of argv, each option checked for range."""
+    positionals = []
+    options = dict(_DEFAULTS)
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise UsageError(f"unknown option {name!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{name} needs a value")
+        options[name] = value
+    if len(positionals) != 2:
+        raise UsageError(f"expected COMMAND PROBLEM, got {len(positionals)} positional arguments")
+    command, problem = positionals
+    if command not in _HANDLERS:
+        raise UsageError(f"unknown command {command!r}; perov --help lists the commands")
+    samples = _option(options["--samples"], "--samples", int, lambda v: v >= 1, "an integer >= 1")
+    tol = _option(options["--tol"], "--tol", float, lambda v: 0.0 < v < 1.0, "a number with 0 < T < 1")
+    return _Args(command, problem, samples, tol)
 
 
 def run(argv=None) -> int:
     """Execute one CLI invocation and return its exit code."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
+        args = _scan(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -161,6 +161,21 @@ class Vector:
         object.__setattr__(v, "components", arr)
         return v
 
+    @classmethod
+    def _wrap_rows(cls, block: np.ndarray) -> list["Vector"]:
+        # internal: block must be a fresh (count, n) float array owned by the
+        # caller; one finiteness check and one freeze cover all its rows,
+        # and each Vector holds a read-only view of its row
+        if not np.isfinite(block).all():
+            raise UsageError("entries must be finite")
+        block.flags.writeable = False
+        rows = []
+        for row in block:
+            v = object.__new__(cls)
+            object.__setattr__(v, "components", row)
+            rows.append(v)
+        return rows
+
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented

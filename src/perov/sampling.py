@@ -204,7 +204,8 @@ def _witnesses(mask: np.ndarray, *stacks: np.ndarray) -> list[tuple[Vector, ...]
     """One tuple of Vectors per flagged row, from that row of each stack.
 
     Boolean indexing copies the flagged rows of each stack once, as floats,
-    so the Vectors share no memory with the caller's stacks.
+    so the Vectors share no memory with the caller's stacks; each copy is
+    checked and frozen once, not row by row.
     """
-    picked = [np.asarray(s, dtype=float)[mask] for s in stacks]
-    return [tuple(map(Vector._wrap, rows)) for rows in zip(*picked)]
+    picked = [Vector._wrap_rows(np.asarray(s, dtype=float)[mask]) for s in stacks]
+    return list(zip(*picked))

@@ -14,8 +14,9 @@ from perov.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_USAGE,
-    _build_parser,
+    _HANDLERS,
     _fmt_vec,
+    _scan,
     _vec_template,
     format_problem,
     parse_problem,
@@ -294,10 +295,56 @@ def test_run_unknown_command_exits_64(tmp_path):
     assert run(["conjure", write(tmp_path, MINIMAL)]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("flags", [["--bogus"], ["--samples", "many"], ["--tol"], ["extra"]])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bogus"],
+        ["--samples", "many"],
+        ["--tol"],
+        ["extra"],
+        ["--samples"],
+        ["--samples=abc"],
+        ["--samp", "10"],  # no prefix abbreviations
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--tol", "2"],
+        ["--tol", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--tol=0"],
+        ["--tol", "1"],
+    ],
+)
 def test_run_bad_flag_exits_64(tmp_path, capsys, flags):
+    # a bad value is refused before the prologue or the sampled gate runs
     assert run(["check-metric", write(tmp_path, PLANAR), *flags]) == EXIT_USAGE
-    assert "usage error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [[], ["check-metric"], ["check-metric", "PATH", "PATH"]])
+def test_run_needs_exactly_command_and_problem(tmp_path, capsys, argv):
+    path = write(tmp_path, PLANAR)
+    assert run([path if a == "PATH" else a for a in argv]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: expected COMMAND PROBLEM")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["certify", "-h"], ["conjure", "--help", "--bogus"]]
+)
+def test_help_lists_every_command_and_exits_0(capsys, argv):
+    assert run(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and "#REC" not in out
+    assert out.startswith("usage: perov COMMAND PROBLEM")
+    assert out in (ROOT / "README.md").read_text()  # the README quotes it whole
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ") and line.split()]
+    assert set(_HANDLERS) <= set(listed)
+    for option, default in (("--samples N", "1000"), ("--tol T", "1e-9")):
+        assert option in out and f"(default {default})" in out
 
 
 @pytest.mark.parametrize(
@@ -306,25 +353,29 @@ def test_run_bad_flag_exits_64(tmp_path, capsys, flags):
         ["check-metric", "PATH", "--samples=150", "--tol", "1e-6"],
         ["check-metric", "--samples", "150", "PATH", "--tol=1e-6"],
         ["check-metric", "--tol", "1e-6", "--samples=150", "PATH"],
+        ["--samples=7", "check-metric", "--tol", "0.5", "PATH", "--samples", "150", "--tol=1e-6"],
     ],
 )
 def test_options_parse_in_either_form_and_position(tmp_path, capsys, argv):
+    # the last occurrence of a repeated option wins
     path = write(tmp_path, PLANAR)
     argv = [path if a == "PATH" else a for a in argv]
-    args = _build_parser().parse_args(argv)
+    args = _scan(argv)
     assert (args.command, args.problem, args.samples, args.tol) == ("check-metric", path, 150, 1e-6)
     assert run(argv) == EXIT_OK
     assert "kind=metric_axioms samples=150 " in capsys.readouterr().out
 
 
 def test_defaults_when_no_options_are_given():
-    args = _build_parser().parse_args(["certify", "p.prob"])
+    args = _scan(["certify", "p.prob"])
     assert (args.samples, args.tol) == (1000, 1e-9)
 
 
-def test_sampled_commands_leave_numpy_random_unimported():
-    # the samplers reproduce numpy's stream without importing numpy.random,
-    # whose import costs ~15 ms per run; only a fresh interpreter shows it
+def test_sampled_commands_leave_numpy_random_and_argparse_unimported():
+    # numpy.random (~15 ms to import) is not needed, since the samplers
+    # reproduce its stream, and argparse's first gettext call imports locale
+    # (~2.5 ms per run); only a fresh interpreter shows either
+    unwanted = ("numpy.random", "argparse", "gettext", "locale")
     cases = [
         ("check-metric", "comparison-2d", 0),
         ("verify-lipschitz", "broken-lipschitz", 2),
@@ -334,10 +385,11 @@ def test_sampled_commands_leave_numpy_random_unimported():
     script = (
         "import contextlib, io, sys\n"
         "from perov.cli import run\n"
+        f"unwanted = {unwanted!r}\n"
         "for command, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = run([command, path])\n"
-        "    print(command, code, 'numpy.random' in sys.modules)\n"
+        "    print(command, code, [m for m in unwanted if m in sys.modules])\n"
     )
     argv = [a for c, stem, _ in cases for a in (c, str(ROOT / "problems" / f"{stem}.prob"))]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -345,7 +397,7 @@ def test_sampled_commands_leave_numpy_random_unimported():
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [f"{c} {code} False" for c, _, code in cases]
+    assert proc.stdout.splitlines() == [f"{c} {code} []" for c, _, code in cases]
 
 
 def test_run_check_metric(tmp_path, capsys):

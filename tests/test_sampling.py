@@ -128,6 +128,7 @@ def test_closures_own_their_state():
 
 def test_witnesses_are_read_only_copies_of_the_flagged_rows():
     x = np.arange(6.0).reshape(3, 2)
+    x[1, 0] = np.inf  # an unflagged row need not be finite
     d = np.array([[1, 2], [3, 4], [5, 6]])  # an integer stack becomes floats
     witnesses = _witnesses(np.array([True, False, True]), x, d)
     x[:] = -1.0
@@ -139,8 +140,21 @@ def test_witnesses_are_read_only_copies_of_the_flagged_rows():
     for w in witnesses:
         for v in w:
             assert v.components.dtype == float
+            assert not np.shares_memory(v.components, x)
             with pytest.raises(ValueError):
                 v.components[0] = 7.0
+            with pytest.raises(ValueError):
+                v.components.flags.writeable = True
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_flagged_row_is_refused(bad):
+    x = np.arange(6.0).reshape(3, 2)
+    y = x + 1.0
+    y[2, 1] = bad
+    with pytest.raises(UsageError, match="finite"):
+        _witnesses(np.array([True, False, True]), x, y)
+    assert len(_witnesses(np.array([True, True, False]), x, y)) == 2
 
 
 def test_check_witnesses_outlive_the_candidates_stacks():
