@@ -9,10 +9,11 @@ successive-approximation solvers with componentwise a-priori error
 bounds, coincidence-point iteration for pairs of maps, and
 comparison-function generalizations of the linear contraction condition.
 
-Every solver returns the full iteration trace so error bounds can be
-audited after the fact, or hands each step to an on_step callback as it
-happens, and every sampled hypothesis check reports the witnesses it found
-rather than a bare verdict.
+Every solver hands each step, with its a-priori error bound, to an
+on_step callback as it happens, so the bounds can be audited during the
+run; the result keeps only the end status and the step count. Every
+sampled hypothesis check reports the witnesses it found rather than a
+bare verdict.
 """
 
 from .contraction import (

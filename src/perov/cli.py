@@ -4,9 +4,11 @@ Problems are described by line-oriented files of `key = value` pairs
 (matrices as semicolon-separated rows, vectors as comma-separated
 components) and driven by one of eight commands for axiom checking,
 certification, hypothesis verification, and solving; `perov --help` lists
-them and the two options. Reports interleave human-readable sections with
-machine lines prefixed `#REC `; identical problem files and seeds reproduce
-the machine lines byte for byte.
+them and the two options. The report is its `#REC ` records: each fact is
+printed once, as a record, and identical problem files and seeds reproduce
+the records byte for byte. The other stdout lines carry only what no
+record holds: the problem path, a `== ... ==` header per section, and the
+reasons for a failure.
 
 Exit codes: 0 success or converged, 2 hypothesis violation or failed
 certification, 3 iteration budget exhausted, 64 usage or parse errors.
@@ -144,7 +146,10 @@ def _parse_vector(ctx: _ParseContext, key: str, n: int) -> Vector:
     comps = [_parse_float(ctx, key, p) for p in parts]
     if len(comps) != n:
         raise ctx.error(f"{key}: expected {n} components, got {len(comps)}", key)
-    return Vector(np.array(comps))
+    try:
+        return Vector(np.array(comps))
+    except UsageError as exc:
+        raise ctx.error(f"{key}: {exc}", key) from None
 
 
 def _parse_matrix(ctx: _ParseContext, key: str, n: int) -> SquareMatrix:
@@ -259,14 +264,15 @@ def parse_problem_text(text: str, path: str = "<string>") -> ProblemFile:
     has_lam = "lambda" in ctx.values
     if has_k == has_lam:
         raise ctx.error("exactly one of 'k' and 'lambda' must be present")
-    k = _parse_matrix(ctx, "k", n) if has_k else None
-    lam = _parse_matrix(ctx, "lambda", n) if has_lam else None
+    key = "k" if has_k else "lambda"
+    gain = _parse_matrix(ctx, key, n)
+    if np.any(gain.entries < 0.0):
+        raise ctx.error(f"{key}: entries must be nonnegative", key)
+    k, lam = (gain, None) if has_k else (None, gain)
     x0 = _parse_vector(ctx, "x0", n)
-    eps_text = ctx.values["eps"]
-    if "," in eps_text:
-        eps = _parse_vector(ctx, "eps", n)
-    else:
-        eps = Vector.full(n, _parse_float(ctx, "eps", eps_text))
+    if "," not in ctx.values["eps"]:  # the scalar shorthand broadcasts
+        ctx.values["eps"] = ",".join([ctx.values["eps"]] * n)
+    eps = _parse_vector(ctx, "eps", n)
     if np.any(eps.components <= 0.0):
         raise ctx.error("eps: every component must be strictly positive", "eps")
     budget = _parse_int(ctx, "budget", 1) if "budget" in ctx.values else _DEFAULT_BUDGET
@@ -345,25 +351,14 @@ def _resolve_g(pf: ProblemFile) -> tuple[MapSpec, object]:
     return pf.g, affine_preimage(pf.g)
 
 
-def _prologue(pf: ProblemFile, command: str, path: str) -> None:
-    print(f"command: {command}")
-    print(f"problem: {path}")
-    print(f"n: {pf.n}  seed: {pf.seed}  budget: {pf.budget}")
-    _rec("problem", command=command, n=pf.n, seed=pf.seed, budget=pf.budget, eps=pf.eps)
-
-
 def _certify_or_report(matrix: SquareMatrix, tol: float, label: str):
     print(f"== certificate ({label}) ==")
     try:
         cert = certify_contraction(matrix, tol)
     except NotCertifiedError as exc:
-        print(f"{exc}; spectral radius estimate {_fmt(exc.estimate)}")
+        print(exc)
         _rec("certificate", label=label, status="not_certified", rho=exc.estimate)
         return None
-    print(
-        f"rho: {_fmt(cert.rho)}  rho bound: {_fmt(cert.rho_bound)}  "
-        f"bound vectors: {cert.series_terms}  residual: {_fmt(cert.residual)}"
-    )
     _rec(
         "certificate",
         label=label,
@@ -382,13 +377,9 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison | Non
     try:
         phi = linear_comparison(lam, tol)
     except NotCertifiedError as exc:
-        print(f"gain {exc}; spectral radius estimate {_fmt(exc.estimate)}")
+        print(f"gain {exc}")
         _rec("comparison", status="not_certified", rho=exc.estimate)
         return None
-    print(
-        f"gain rho: {_fmt(phi.certificate.rho)}  "
-        f"deficiency in cone: {str(phi.deficiency_in_cone).lower()}"
-    )
     _rec(
         "comparison",
         status="certified",
@@ -418,29 +409,20 @@ def _solve(n: int, solver, *args) -> int:
     """Run solver(*args), streaming its iter records; emit the result, return the exit code."""
     print("== iterations ==")
     result: SolveResult = solver(*args, on_step=_iter_writer(n))
-    trace = result.trace
-    print(f"iterations: {trace.iterations}  status: {trace.status.value}")
+    status = result.trace.status
     print("== result ==")
-    print(f"status: {trace.status.value}")
-    print(f"point: {_fmt_vec(result.point)}")
-    print(f"value: {_fmt_vec(result.value)}")
-    print(f"residual: {_fmt_vec(result.residual)}")
-    if result.weakly_compatible is not None:
-        print(f"weakly compatible: {str(result.weakly_compatible).lower()}")
-        if result.common_fixed_point is not None:
-            print(f"common fixed point: {_fmt_vec(result.common_fixed_point)}")
     if result.hypothesis_witness is not None and "step" in result.hypothesis_witness:
         print(f"hypothesis violated at step {result.hypothesis_witness['step']}")
     _rec(
         "result",
-        status=trace.status.value,
+        status=status.value,
         point=result.point,
         value=result.value,
         residual=result.residual,
         weak_compat=result.weakly_compatible,
         common=result.common_fixed_point,
     )
-    return _STATUS_EXIT[trace.status]
+    return _STATUS_EXIT[status]
 
 
 def _lipschitz_gate(pf: ProblemFile, g: MapSpec, k: SquareMatrix, samples: int) -> bool:
@@ -448,10 +430,6 @@ def _lipschitz_gate(pf: ProblemFile, g: MapSpec, k: SquareMatrix, samples: int) 
     sampler = uniform_sampler(pf.n, seed=pf.seed)
     report = verify_matrix_lipschitz(pf.f, g, k, metric, sampler, samples)
     print("== hypothesis check ==")
-    print(
-        f"matrix coefficient condition: {report.samples_tested} samples, "
-        f"{len(report.violations)} violations"
-    )
     _rec(
         "lipschitz",
         samples=report.samples_tested,
@@ -466,11 +444,6 @@ def _cmd_check_metric(pf: ProblemFile, args) -> int:
     sampler = uniform_sampler(pf.n, seed=pf.seed)
     report = check_metric_axioms(metric, sampler, args.samples)
     print("== metric axioms ==")
-    print(f"samples: {report.samples_tested}")
-    print(
-        f"violations: d1={len(report.d1_violations)} "
-        f"d2={len(report.d2_violations)} d3={len(report.d3_violations)}"
-    )
     _rec(
         "metric_axioms",
         samples=report.samples_tested,
@@ -484,13 +457,6 @@ def _cmd_check_metric(pf: ProblemFile, args) -> int:
 
 def _comparison_axioms_gate(pf: ProblemFile, phi, samples: int) -> bool:
     report = check_comparison_axioms(phi, cone_sampler(pf.n, seed=pf.seed), samples)
-    print(
-        f"comparison axioms: {report.samples_tested} samples, "
-        f"shrink={len(report.shrink_violations)} "
-        f"monotone={len(report.monotone_violations)} "
-        f"interior={len(report.interior_violations)} "
-        f"tail={len(report.tail_violations)}"
-    )
     _rec(
         "comparison_axioms",
         samples=report.samples_tested,
@@ -508,10 +474,6 @@ def _condition_c_gate(pf: ProblemFile, g: MapSpec, phi, samples: int) -> bool:
     metric = WeightedMatrixMetric(pf.weight)
     sampler = uniform_sampler(pf.n, seed=pf.seed)
     report = verify_condition_c(pf.f, g, phi, metric, sampler, samples)
-    print(
-        f"contraction condition: {report.samples_tested} samples, "
-        f"{len(report.violations)} violations, branches {report.branch_counts}"
-    )
     _rec(
         "condition_c",
         samples=report.samples_tested,
@@ -703,7 +665,8 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read problem file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _prologue(pf, args.command, args.problem)
+    print(f"problem: {args.problem}")  # the one fact no record holds
+    _rec("problem", command=args.command, n=pf.n, seed=pf.seed, budget=pf.budget, eps=pf.eps)
     try:
         code = _HANDLERS[args.command](pf, args)
     except UsageError as exc:

@@ -31,16 +31,27 @@ __all__ = [
 _SCALARS = (int, float, np.integer, np.floating)
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr, a finite float array that owns its data.
+
+    numpy lets an array that owns its data be made writeable again, and a
+    view too while an array under it is writeable; so the owner is frozen
+    and only a view of it is handed out. A view of a frozen owner may stand
+    for the owner.
+    """
+    if not np.isfinite(arr).all():
+        raise UsageError("entries must be finite")
+    arr.flags.writeable = False
+    return arr.view()
+
+
 def _frozen_array(values, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise UsageError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if arr.size == 0:
         raise UsageError("dimension must be at least 1")
-    if not np.all(np.isfinite(arr)):
-        raise UsageError("entries must be finite")
-    arr.flags.writeable = False
-    return arr
+    return _freeze(arr)
 
 
 def _same_dim(a: int, b: int) -> None:
@@ -80,11 +91,8 @@ class SquareMatrix:
     def _wrap(cls, arr: np.ndarray) -> "SquareMatrix":
         # internal: arr must be a fresh square float array owned by the
         # caller; skips the defensive copy, keeps the finiteness guarantee
-        if not np.isfinite(arr).all():
-            raise UsageError("entries must be finite")
-        arr.flags.writeable = False
         m = object.__new__(cls)
-        object.__setattr__(m, "entries", arr)
+        object.__setattr__(m, "entries", _freeze(arr))
         return m
 
     def __add__(self, other):
@@ -154,11 +162,8 @@ class Vector:
     def _wrap(cls, arr: np.ndarray) -> "Vector":
         # internal: arr must be a fresh 1-d float array owned by the caller;
         # skips the defensive copy, keeps the finiteness guarantee
-        if not np.isfinite(arr).all():
-            raise UsageError("entries must be finite")
-        arr.flags.writeable = False
         v = object.__new__(cls)
-        object.__setattr__(v, "components", arr)
+        object.__setattr__(v, "components", _freeze(arr))
         return v
 
     @classmethod
@@ -166,11 +171,8 @@ class Vector:
         # internal: block must be a fresh (count, n) float array owned by the
         # caller; one finiteness check and one freeze cover all its rows,
         # and each Vector holds a read-only view of its row
-        if not np.isfinite(block).all():
-            raise UsageError("entries must be finite")
-        block.flags.writeable = False
         rows = []
-        for row in block:
+        for row in _freeze(block):
             v = object.__new__(cls)
             object.__setattr__(v, "components", row)
             rows.append(v)

@@ -13,9 +13,8 @@ contraction condition is verified online at every step.
 The loop keeps its state as (1, n) arrays and calls f, g, the metric and
 phi in their (count, n) stack form, which checks dimensions and finiteness
 as the Vector form does; values become Vectors only where they leave the
-loop. Each step goes either into the returned IterationTrace or, when the
-caller passes on_step, to that callback as it happens, so a streamed solve
-holds no rows and its memory does not grow with the budget.
+loop. A step leaves the loop only through the caller's on_step, as it is
+taken: a solve holds no rows, and its memory does not grow with the budget.
 """
 
 from __future__ import annotations
@@ -65,6 +64,9 @@ WEAK_COMPAT_TOL = 1e-8
 # Excess of a step distance over phi of the previous one that the online
 # check of comparison_solve forgives, relative to the values compared.
 _STEP_SLACK = 1e-12
+
+# Pushes through f after g-inversion that polish a common fixed point.
+_POLISH_STEPS = 64
 
 # Excess of d(f x, f y) over its sampled bound that the Lipschitz and
 # condition-C checks forgive, relative to the sup norms of f x, f y, g x, g y.
@@ -189,36 +191,10 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class IterationTrace:
-    """Recorded run of an iteration.
+    """How an iteration ended and how many steps it took; steps go to on_step."""
 
-    points holds the value sequence (for coincidence runs, g(x_0) followed
-    by the common values f(x_j) = g(x_{j+1})). step_dists[i] is the metric
-    distance between points[i] and points[i+1]; bounds[i] is the matching
-    bound vector, so both are one entry shorter than points. Under a matrix
-    certificate bounds[i] = k^i S d_0 bounds the distance from points[i] to
-    the limit; under a comparison function it is phi^i(d_0), an envelope of
-    the step distances and not an error bound.
-
-    A solve given on_step hands each step to it instead: the three lists
-    then stay empty and iterations alone counts the steps taken.
-    """
-
-    points: list[Vector]
-    step_dists: list[Vector]
-    bounds: list[Vector]
     status: SolveStatus
-    iterations: int | None = None
-
-    def __post_init__(self):
-        if self.iterations is not None:
-            if self.points or self.step_dists or self.bounds:
-                raise UsageError("a streamed trace records no rows")
-            return
-        if len(self.step_dists) != len(self.points) - 1:
-            raise UsageError("trace step distances must be one shorter than points")
-        if len(self.bounds) != len(self.step_dists):
-            raise UsageError("trace bounds must align with step distances")
-        self.iterations = len(self.step_dists)
+    iterations: int
 
 
 @dataclass
@@ -228,7 +204,6 @@ class SolveResult:
     point: Vector
     value: Vector
     trace: IterationTrace
-    certificate_used: object
     residual: Vector
     weakly_compatible: bool | None = None
     common_fixed_point: Vector | None = None
@@ -263,8 +238,8 @@ class ConditionCReport:
 
 
 def _vec(row: np.ndarray) -> Vector:
-    """A (1, n) row the loop owns, as a Vector leaving the loop."""
-    return Vector._wrap(row[0])
+    """A (1, n) row the loop owns, as a Vector leaving the loop; the row is frozen."""
+    return Vector._wrap_rows(row)[0]
 
 
 def _sup(a: np.ndarray) -> float:
@@ -278,7 +253,7 @@ def _within(value: float, tol: float, *operands: np.ndarray) -> bool:
 
 def _checked_preimage(g_solve: MapFn, g: MapFn, y: np.ndarray) -> np.ndarray:
     """The row g_solve(y) for a (1, n) row y, its residual d(g x, y) checked."""
-    x = g_solve(Vector._wrap(y[0])).components[None]
+    x = g_solve(_vec(y)).components[None]
     residual = _sup(g(x) - y)
     if not _within(residual, PREIMAGE_TOL, x, y):
         raise PreimageError(
@@ -348,7 +323,6 @@ def _weak_compat_and_polish(
     metric: MetricFn,
     p: np.ndarray,
     eps: np.ndarray,
-    extra_budget: int = 64,
 ) -> tuple[bool, Vector | None]:
     """Check commutation at a coincidence point (a (1, n) row) and polish the common point.
 
@@ -362,7 +336,7 @@ def _weak_compat_and_polish(
         return False, None
     target = 0.01 * eps
     z = fp
-    for _ in range(extra_budget):
+    for _ in range(_POLISH_STEPS):
         z_next = f(_checked_preimage(g_solve, g, z))
         step = metric(z, z_next)
         z = z_next
@@ -392,8 +366,8 @@ def _iterate(
     d(f x, g x) at the new point are below eps too. Under phi, phi is first
     screened on 128 cone samples, every step distance must stay below phi of
     the previous one, and an exactly zero step ends the run at the current
-    point. Each step is recorded in the trace, or passed to on_step when
-    given, before its checks, so a step that breaks a hypothesis is seen too.
+    point. Each step goes to on_step, when given, before its checks, so a
+    step that breaks a hypothesis is seen too.
     """
     n = getattr(metric, "n", x0.n)
     if x0.n != n or eps.n != n:
@@ -416,10 +390,6 @@ def _iterate(
     eps_half = 0.5 * eps
     x = x0.components[None]
     prev_val = x if g is None else g(x)
-    keep = on_step is None
-    points = [_vec(prev_val)] if keep else []
-    dists: list[Vector] = []
-    bounds: list[Vector] = []
     steps = 0
     prev_d: np.ndarray | None = None
     residual: np.ndarray | None = None
@@ -431,11 +401,7 @@ def _iterate(
             bound = d_j if cert is None else _shaped(d_j @ cert.S.entries.T)
         else:
             bound = phi(bound) if cert is None else _shaped(bound @ cert.k.entries.T)
-        if keep:
-            points.append(_vec(y))
-            dists.append(_vec(d_j))
-            bounds.append(_vec(bound))
-        else:
+        if on_step is not None:
             on_step(j, prev_val[0], d_j[0], bound[0])
         steps = j + 1
         if phi is not None:
@@ -475,10 +441,7 @@ def _iterate(
     return SolveResult(
         point=_vec(x),
         value=_vec(value),
-        trace=IterationTrace(points, dists, bounds, status)
-        if keep
-        else IterationTrace([], [], [], status, steps),
-        certificate_used=cert if phi is None else phi,
+        trace=IterationTrace(status, steps),
         residual=_vec(residual),
         weakly_compatible=weak,
         common_fixed_point=common,
@@ -502,11 +465,13 @@ def perov_solve(
     strictly below eps; the returned point always satisfies
     d(f(point), point) strictly below eps componentwise.
 
-    f and the metric are called on (1, n) stacks. Given on_step, each step j
-    calls on_step(j, y, dist, bound) with 1-d arrays, the entries
-    trace.points[j], trace.step_dists[j] and trace.bounds[j] would hold, as
-    the step is taken; the trace then records no rows, only the step count.
-    The arrays belong to the loop and must not be modified.
+    f and the metric are called on (1, n) stacks. on_step is the only way
+    to see the steps: given, each step j calls on_step(j, y, dist, bound) as
+    it is taken, with 1-d arrays: y the value the step starts from, dist the
+    distance from y to f(y), and bound the a-priori bound k^j S d_0 on the
+    distance from y to the limit. The arrays belong to the loop and must not
+    be modified; copy them to keep them. result.trace holds only the status
+    and the number of steps.
     """
     return _iterate(f, None, None, metric, x0, eps, budget, cert=cert, on_step=on_step)
 
@@ -530,7 +495,8 @@ def jungck_solve(
     the result carries the coincidence point p, the value g(p), the
     weak-compatibility verdict at p, and, when that verdict holds, the
     polished common fixed point. f, g, the metric and on_step are used as in
-    perov_solve.
+    perov_solve, with y = g(x_j) (after step 0 the common value
+    f(x_{j-1}) = g(x_j)) and dist = d(g x_j, f x_j).
     """
     return _iterate(f, g, g_solve, metric, x0, eps, budget, cert=cert, on_step=on_step)
 
@@ -558,6 +524,7 @@ def comparison_solve(
     An exactly stationary step means the current point is an exact
     coincidence point and ends the run immediately. phi is called on (1, n)
     stacks like f, g and the metric; g_solve and on_step are used as in
-    jungck_solve.
+    jungck_solve, except that bound is phi^j(d_0), an envelope of the step
+    distances and not an error bound.
     """
     return _iterate(f, g, g_solve, metric, x0, eps, budget, phi=phi, on_step=on_step)

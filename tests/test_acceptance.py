@@ -203,14 +203,18 @@ def test_criterion_05_perov_solver_vs_closed_form(verdict):
             metric = WeightedMatrixMetric(SquareMatrix.identity(n) + m)
             cert = certify_contraction(m, 1e-9)
             x0 = Vector(rng.uniform(-5.0, 5.0, n))
-            res = perov_solve(f, metric, cert, x0, Vector.full(n, 1e-11))
+            steps = []
+            res = perov_solve(
+                f, metric, cert, x0, Vector.full(n, 1e-11),
+                on_step=lambda j, y, dist, bound: steps.append((y.copy(), bound.copy())),
+            )
             assert res.trace.status is SolveStatus.CONVERGED
             star = np.linalg.solve(np.eye(n) - m.entries, b.components)
             assert np.all(np.abs(res.point.components - star) <= 1e-8)
             star_v = Vector(star)
-            for i, bound in enumerate(res.trace.bounds):
-                true_err = metric(res.trace.points[i], star_v)
-                assert np.all(true_err.components <= bound.components + 1e-10)
+            for y, bound in steps:
+                true_err = metric(Vector(y), star_v)
+                assert np.all(true_err.components <= bound + 1e-10)
         assert time.monotonic() - start < 10.0
 
 
@@ -272,12 +276,13 @@ def test_criterion_08_comparison_function_suite(verdict):
         g = identity_map(1)
         gain = linear_comparison(mat([[0.6]]))
         metric = WeightedMatrixMetric(mat([[1.0]]))
+        dists = []
         res = comparison_solve(
-            f, g, affine_preimage(g), gain, metric, vec(8.0), Vector.full(1, 1e-10)
+            f, g, affine_preimage(g), gain, metric, vec(8.0), Vector.full(1, 1e-10),
+            on_step=lambda j, y, dist, bound: dists.append(Vector(dist)),
         )
         assert res.trace.status is SolveStatus.CONVERGED
         assert abs(res.point.components[0]) <= 1e-10
-        dists = res.trace.step_dists
         for j in range(1, len(dists)):
             dominated = gain(dists[j - 1])
             assert np.all(dists[j].components <= dominated.components + 1e-12)

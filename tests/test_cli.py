@@ -100,6 +100,42 @@ def test_weight_must_be_strictly_positive():
         parse_problem_text(bad)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    ("key", "line", "template"),
+    [
+        ("x0", 7, "x0 = {}, 0"),
+        ("eps", 8, "eps = {}, 1e-10"),
+        ("eps", 8, "eps = {}"),
+        ("f.b", 5, "f.b = {}, 1"),
+    ],
+)
+def test_non_finite_vector_reports_line_and_key(key, line, template, value):
+    old = next(l for l in PLANAR.splitlines() if l.startswith(f"{key} ="))
+    bad = PLANAR.replace(old, template.format(value))
+    with pytest.raises(UsageError) as info:
+        parse_problem_text(bad)
+    assert str(info.value) == f"<string>:{line}: {key}: entries must be finite"
+
+
+@pytest.mark.parametrize(
+    ("command", "gain"),
+    [
+        ("certify", "k = -0.5"),
+        ("verify-lipschitz", "k = -0.5"),
+        ("solve-perov", "k = -0.5"),
+        ("solve-comparison", "lambda = -0.5"),
+    ],
+)
+def test_negative_gain_is_refused_before_any_output(tmp_path, capsys, command, gain):
+    path = write(tmp_path, MINIMAL.replace("k = 0.5", gain))
+    assert run([command, path]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    key = gain.split()[0]
+    assert err == f"problem file error: {path}:7: {key}: entries must be nonnegative\n"
+
+
 def test_unknown_key_reports_line_number():
     bad = MINIMAL + "mystery = 1\n"
     with pytest.raises(UsageError, match=r":10: unknown key"):

@@ -10,6 +10,7 @@ and says in CHANGES.md which fields moved.
 """
 
 import contextlib
+import functools
 import io
 import pathlib
 
@@ -33,11 +34,31 @@ def _golden_path(rel: str, command: str) -> pathlib.Path:
     return GOLDEN / f"{pathlib.Path(rel).stem}.{command}.rec"
 
 
-def _records(rel: str, command: str) -> str:
+# The stdout lines that are not records, after `problem: <path>`: section
+# headers and failure reasons. Every fact a run checks is printed once, as
+# a record, so no other line may appear.
+HUMAN_LINES = {
+    "solve-perov": ["== hypothesis check ==", "== certificate (k) ==", "== iterations ==", "== result =="],
+    "solve-jungck": ["== hypothesis check ==", "== certificate (k) ==", "== iterations ==", "== result =="],
+    "solve-comparison": ["== comparison function ==", "== hypothesis check ==", "== iterations ==", "== result =="],
+    "certify": ["== certificate (k) ==", "not certified: 1 - k is singular"],
+    "verify-lipschitz": ["== hypothesis check =="],
+    "check-metric": ["== metric axioms =="],
+    "check-comparison": ["== comparison function ==", "== comparison axioms =="],
+    "verify-condition-c": ["== comparison function ==", "== contraction condition =="],
+}
+
+
+@functools.cache
+def _stdout(rel: str, command: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         run([command, str(ROOT / rel)])
-    lines = [line for line in out.getvalue().splitlines() if line.startswith("#REC ")]
+    return out.getvalue()
+
+
+def _records(rel: str, command: str) -> str:
+    lines = [line for line in _stdout(rel, command).splitlines() if line.startswith("#REC ")]
     # the problem path is not part of any record, so transcripts do not
     # depend on where the checkout lives
     return "\n".join(lines) + "\n"
@@ -49,6 +70,12 @@ def test_records_match_golden(rel, command, expected_exit):
     actual = _records(rel, command)
     assert actual == expected
     assert actual.endswith(f"#REC kind=exit code={expected_exit}\n")
+
+
+@pytest.mark.parametrize(("rel", "command", "expected_exit"), SHIPPED + SAMPLED)
+def test_stdout_outside_records_is_path_headers_and_reasons(rel, command, expected_exit):
+    lines = [line for line in _stdout(rel, command).splitlines() if not line.startswith("#REC ")]
+    assert lines == [f"problem: {ROOT / rel}", *HUMAN_LINES[command]]
 
 
 if __name__ == "__main__":

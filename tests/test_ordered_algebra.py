@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perov import (
+    MapSpec,
     OrthantCone,
     SquareMatrix,
     UsageError,
     Vector,
+    WeightedMatrixMetric,
+    certify_contraction,
     cone_contains,
     mat_apply,
     order_leq,
     order_ll,
+    perov_solve,
     ring_leq,
     ring_norm,
     sup_norm,
@@ -58,6 +62,36 @@ def test_entries_are_read_only():
     v = vec(1.0, 2.0)
     with pytest.raises(ValueError):
         v.components[0] = 9.0
+
+
+def _solved_point():
+    k = mat([[0.5]])
+    res = perov_solve(
+        MapSpec.affine(k, vec(1.0)), WeightedMatrixMetric(mat([[1.0]])),
+        certify_contraction(k, 1e-9), vec(0.0), vec(1e-10),
+    )
+    return res.point.components
+
+
+FROZEN = {
+    "Vector": lambda: vec(1.0, 2.0).components,
+    "Vector._wrap": lambda: Vector._wrap(np.array([1.0, 2.0])).components,
+    "Vector._wrap_rows": lambda: Vector._wrap_rows(np.ones((2, 2)))[1].components,
+    "SquareMatrix": lambda: mat([[1.0, 2.0], [3.0, 4.0]]).entries,
+    "vector sum": lambda: (vec(1.0, 2.0) + vec(3.0, 4.0)).components,
+    "matrix sum": lambda: (mat([[1.0]]) + mat([[2.0]])).entries,
+    "scalar multiple": lambda: (2.0 * vec(1.0, 2.0)).components,
+    "map output": lambda: MapSpec.affine(mat([[2.0]]), vec(1.0))(vec(3.0)).components,
+    "certificate S": lambda: certify_contraction(mat([[0.5]]), 1e-9).S.entries,
+    "solve point": _solved_point,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN))
+def test_values_cannot_be_made_writeable_again(case):
+    arr = FROZEN[case]()
+    with pytest.raises(ValueError):
+        arr.flags.writeable = True
 
 
 def test_defensive_copy_of_input():

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import tracemalloc
 
@@ -48,6 +49,20 @@ def scalar_map(m, b):
 
 
 EPS1 = Vector.full(1, 1e-10)
+
+
+class StepLog:
+    """An on_step that keeps a copy of every step: points[j] is the y passed
+    at step j, step_dists[j] its dist and bounds[j] its bound."""
+
+    def __init__(self):
+        self.points, self.step_dists, self.bounds = [], [], []
+
+    def __call__(self, j, y, dist, bound):
+        assert j == len(self.points)
+        self.points.append(Vector(y))
+        self.step_dists.append(Vector(dist))
+        self.bounds.append(Vector(bound))
 
 
 # -- map grammar ------------------------------------------------------------
@@ -215,20 +230,22 @@ def test_apriori_bound_frozen():
     cert = certify_contraction(mat([[0.5, 0.0], [0.0, 0.5]]), 1e-9)
     f = MapSpec.affine(mat([[0.5, 0.0], [0.0, 0.5]]), vec(1.0, 0.0))
     metric = WeightedMatrixMetric(mat([[1.0, 0.5], [0.5, 1.0]]))
-    res = perov_solve(f, metric, cert, Vector.zeros(2), Vector.full(2, 1e-10), 3)
-    d0 = res.trace.step_dists[0].components
+    log = StepLog()
+    perov_solve(f, metric, cert, Vector.zeros(2), Vector.full(2, 1e-10), 3, on_step=log)
+    d0 = log.step_dists[0].components
     assert d0.tolist() == [1.0, 0.5]
-    assert res.trace.bounds[2].components.tolist() == [0.5, 0.25]
-    for bound, expected in zip(res.trace.bounds, apriori_bounds(cert, d0, 3)):
+    assert log.bounds[2].components.tolist() == [0.5, 0.25]
+    for bound, expected in zip(log.bounds, apriori_bounds(cert, d0, 3)):
         assert np.array_equal(bound.components, expected)
 
 
 def test_apriori_bound_zero_iterations_is_total():
     cert = certify_contraction(mat([[0.5]]), 1e-9)
-    res = perov_solve(scalar_map(0.5, 1.0), scalar_metric(), cert, vec(0.0), EPS1, 1)
-    assert res.trace.step_dists[0] == vec(1.0)
+    log = StepLog()
+    perov_solve(scalar_map(0.5, 1.0), scalar_metric(), cert, vec(0.0), EPS1, 1, on_step=log)
+    assert log.step_dists[0] == vec(1.0)
     # the full telescoped series sums to 2 for gain one half: the whole way to x* = 2
-    assert abs(res.trace.bounds[0].components[0] - 2.0) < 1e-9
+    assert abs(log.bounds[0].components[0] - 2.0) < 1e-9
 
 
 def test_apriori_bound_nonincreasing():
@@ -237,10 +254,11 @@ def test_apriori_bound_nonincreasing():
     # d0 = W |f(0)| = (1, 2)
     f = MapSpec.affine(k, vec(1.0, 1.0))
     metric = WeightedMatrixMetric(mat([[0.5, 0.5], [1.0, 1.0]]))
-    res = perov_solve(f, metric, cert, Vector.zeros(2), Vector.full(2, 1e-10), 30)
-    d0 = res.trace.step_dists[0].components
+    log = StepLog()
+    perov_solve(f, metric, cert, Vector.zeros(2), Vector.full(2, 1e-10), 30, on_step=log)
+    d0 = log.step_dists[0].components
     assert d0.tolist() == [1.0, 2.0]
-    bounds = [b.components for b in res.trace.bounds]
+    bounds = [b.components for b in log.bounds]
     assert len(bounds) == 30
     for prev, cur in zip(bounds, bounds[1:]):
         assert np.all(cur <= prev + 1e-12)
@@ -286,11 +304,13 @@ def test_perov_scalar_iteration_count():
 def test_perov_trace_shape():
     f = scalar_map(0.5, 1.0)
     cert = certify_contraction(mat([[0.5]]), 1e-9)
-    res = perov_solve(f, scalar_metric(), cert, vec(0.0), EPS1)
-    t = res.trace
-    assert len(t.points) == len(t.step_dists) + 1 == len(t.bounds) + 1
-    assert t.iterations == len(t.step_dists)
-    assert t.points[0] == vec(0.0)
+    log = StepLog()
+    res = perov_solve(f, scalar_metric(), cert, vec(0.0), EPS1, on_step=log)
+    assert len(log.points) == len(log.step_dists) == len(log.bounds)
+    assert res.trace.iterations == len(log.step_dists)
+    assert log.points[0] == vec(0.0)
+    # the value after the last step, once the final entry of points
+    assert res.point == f(log.points[-1])
 
 
 def test_perov_bound_dominates_true_error():
@@ -299,10 +319,11 @@ def test_perov_bound_dominates_true_error():
     f = MapSpec.affine(m, b)
     metric = WeightedMatrixMetric(mat([[1.0, 0.5], [0.5, 1.0]]))
     cert = certify_contraction(m, 1e-9)
-    res = perov_solve(f, metric, cert, vec(5.0, -5.0), Vector.full(2, 1e-10))
+    log = StepLog()
+    perov_solve(f, metric, cert, vec(5.0, -5.0), Vector.full(2, 1e-10), on_step=log)
     star = Vector(np.linalg.solve(np.eye(2) - m.entries, b.components))
-    for i, bound in enumerate(res.trace.bounds):
-        true_err = metric(res.trace.points[i], star)
+    for i, bound in enumerate(log.bounds):
+        true_err = metric(log.points[i], star)
         assert np.all(true_err.components <= bound.components + 1e-10)
 
 
@@ -310,9 +331,10 @@ def test_perov_first_bound_telescopes():
     # distance from the start to the limit is at most S d0
     f = scalar_map(0.5, 1.0)
     cert = certify_contraction(mat([[0.5]]), 1e-9)
-    res = perov_solve(f, scalar_metric(), cert, vec(0.0), EPS1)
+    log = StepLog()
+    perov_solve(f, scalar_metric(), cert, vec(0.0), EPS1, on_step=log)
     d_start_to_limit = abs(2.0 - 0.0)
-    assert d_start_to_limit <= res.trace.bounds[0].components[0] + 1e-12
+    assert d_start_to_limit <= log.bounds[0].components[0] + 1e-12
 
 
 def test_perov_budget_exhaustion():
@@ -371,11 +393,12 @@ def test_jungck_trace_starts_at_g_of_x0():
     f = scalar_map(1.0 / 3.0, 0.0)
     g = scalar_map(0.5, 0.0)
     cert = certify_contraction(mat([[2.0 / 3.0]]), 1e-9)
-    res = jungck_solve(
-        f, g, affine_preimage(g), scalar_metric(), cert, vec(9.0), EPS1,
+    log = StepLog()
+    jungck_solve(
+        f, g, affine_preimage(g), scalar_metric(), cert, vec(9.0), EPS1, on_step=log,
     )
-    assert res.trace.points[0] == vec(4.5)
-    assert res.trace.points[1] == vec(3.0)
+    assert log.points[0] == vec(4.5)
+    assert log.points[1] == vec(3.0)
 
 
 def test_jungck_bad_preimage_oracle_raises():
@@ -410,13 +433,14 @@ def test_comparison_solve_scalar():
     f = scalar_map(0.5, 0.0)
     g = identity_map(1)
     phi = linear_comparison(mat([[0.6]]))
+    log = StepLog()
     res = comparison_solve(
-        f, g, affine_preimage(g), phi, scalar_metric(), vec(8.0), EPS1,
+        f, g, affine_preimage(g), phi, scalar_metric(), vec(8.0), EPS1, on_step=log,
     )
     assert res.trace.status is SolveStatus.CONVERGED
     assert abs(res.point.components[0]) < 1e-10
     # every step distance is dominated by phi of the previous one
-    dists = res.trace.step_dists
+    dists = log.step_dists
     for j in range(1, len(dists)):
         dominated = phi(dists[j - 1])
         assert np.all(dists[j].components <= dominated.components + 1e-12)
@@ -536,11 +560,12 @@ def test_perov_is_jungck_with_identity(seed):
     x0 = Vector(rng.uniform(-10.0, 10.0, n))
     eps = Vector.full(n, 1e-10)
     g = identity_map(n)
-    a = perov_solve(f, metric, cert, x0, eps)
-    b = jungck_solve(f, g, affine_preimage(g), metric, cert, x0, eps)
+    log_a, log_b = StepLog(), StepLog()
+    a = perov_solve(f, metric, cert, x0, eps, on_step=log_a)
+    b = jungck_solve(f, g, affine_preimage(g), metric, cert, x0, eps, on_step=log_b)
     assert a.trace.status is b.trace.status
     for name in ("points", "step_dists", "bounds"):
-        left, right = getattr(a.trace, name), getattr(b.trace, name)
+        left, right = getattr(log_a, name), getattr(log_b, name)
         assert len(left) == len(right)
         for u, v in zip(left, right):
             assert np.array_equal(u.components, v.components)
@@ -575,33 +600,23 @@ def _random_problem(kind, seed, **options):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind", ["perov", "jungck", "comparison"])
 def test_on_step_streams_what_the_trace_records(kind, seed):
-    recorded = _random_problem(kind, seed)
-    rows = []
-
-    def on_step(j, y, dist, bound):
-        rows.append((j, y.copy(), dist.copy(), bound.copy()))
-
-    streamed = _random_problem(kind, seed, on_step=on_step)
-    trace = recorded.trace
-    assert streamed.trace.points == streamed.trace.step_dists == streamed.trace.bounds == []
-    assert streamed.trace.iterations == trace.iterations == len(rows) > 0
-    assert streamed.trace.status is trace.status
-    for i, (j, y, dist, bound) in enumerate(rows):
-        assert j == i
-        assert np.array_equal(y, trace.points[i].components)
-        assert np.array_equal(dist, trace.step_dists[i].components)
-        assert np.array_equal(bound, trace.bounds[i].components)
-    assert streamed.point == recorded.point
-    assert streamed.value == recorded.value
-    assert streamed.residual == recorded.residual
-    assert streamed.weakly_compatible is recorded.weakly_compatible
-    assert streamed.common_fixed_point == recorded.common_fixed_point
+    # a solve ends bit for bit the same with and without on_step, after as
+    # many steps as on_step was called
+    plain = _random_problem(kind, seed)
+    log = StepLog()
+    streamed = _random_problem(kind, seed, on_step=log)
+    assert streamed.trace == plain.trace
+    assert streamed.trace.iterations == len(log.points) > 0
+    for name in ("point", "value", "residual", "common_fixed_point"):
+        a, b = getattr(streamed, name), getattr(plain, name)
+        assert (a is None and b is None) or a.components.tobytes() == b.components.tobytes()
+    assert streamed.weakly_compatible is plain.weakly_compatible
 
 
 def test_streamed_trace_holds_no_rows():
-    assert IterationTrace([], [], [], SolveStatus.CONVERGED, 3).iterations == 3
-    with pytest.raises(UsageError):
-        IterationTrace([vec(0.0)], [], [], SolveStatus.CONVERGED, 3)
+    # steps leave a solve only through on_step; the trace keeps no rows
+    assert [f.name for f in dataclasses.fields(IterationTrace)] == ["status", "iterations"]
+    assert IterationTrace(SolveStatus.CONVERGED, 3).iterations == 3
 
 
 def test_streamed_solve_memory_does_not_grow_with_budget():
