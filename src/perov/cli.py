@@ -203,17 +203,12 @@ def _parse_map(ctx: _ParseContext, prefix: str, n: int) -> MapSpec | None:
         raise ctx.error(f"{prefix}: missing {missing}", kind_key)
     m = _parse_matrix(ctx, f"{prefix}.M", n)
     b = _parse_vector(ctx, f"{prefix}.b", n)
+    if kind == "affine":
+        return MapSpec.affine(m, b)
+    inner = (_parse_matrix(ctx, f"{prefix}.L", n), _parse_vector(ctx, f"{prefix}.d", n))
+    tags = tuple(t.strip() for t in ctx.values[f"{prefix}.tags"].split(","))
     try:
-        if kind == "affine":
-            return MapSpec.affine(m, b)
-        tags = tuple(t.strip() for t in ctx.values[f"{prefix}.tags"].split(","))
-        return MapSpec.componentwise(
-            m,
-            b,
-            _parse_matrix(ctx, f"{prefix}.L", n),
-            _parse_vector(ctx, f"{prefix}.d", n),
-            tags,
-        )
+        return MapSpec.componentwise(m, b, *inner, tags)
     except UsageError as exc:
         raise ctx.error(f"{prefix}: {exc}", kind_key) from None
 
@@ -264,10 +259,10 @@ def parse_problem_text(text: str, path: str = "<string>") -> ProblemFile:
     has_lam = "lambda" in ctx.values
     if has_k == has_lam:
         raise ctx.error("exactly one of 'k' and 'lambda' must be present")
-    key = "k" if has_k else "lambda"
-    gain = _parse_matrix(ctx, key, n)
+    gain_key = "k" if has_k else "lambda"
+    gain = _parse_matrix(ctx, gain_key, n)
     if np.any(gain.entries < 0.0):
-        raise ctx.error(f"{key}: entries must be nonnegative", key)
+        raise ctx.error(f"{gain_key}: entries must be nonnegative", gain_key)
     k, lam = (gain, None) if has_k else (None, gain)
     x0 = _parse_vector(ctx, "x0", n)
     if "," not in ctx.values["eps"]:  # the scalar shorthand broadcasts

@@ -108,11 +108,15 @@ def test_weight_must_be_strictly_positive():
         ("eps", 8, "eps = {}, 1e-10"),
         ("eps", 8, "eps = {}"),
         ("f.b", 5, "f.b = {}, 1"),
+        ("f.L", 11, "f.L = {}, 0; 0, 1"),
+        ("f.d", 12, "f.d = {}, 0"),
     ],
 )
-def test_non_finite_vector_reports_line_and_key(key, line, template, value):
-    old = next(l for l in PLANAR.splitlines() if l.startswith(f"{key} ="))
-    bad = PLANAR.replace(old, template.format(value))
+def test_non_finite_value_reports_line_and_key(key, line, template, value):
+    text = PLANAR.replace("f.kind = affine", "f.kind = componentwise-nonlinear")
+    text += "f.L = 1, 0; 0, 1\nf.d = 0, 0\nf.tags = tanh, tanh\n"
+    old = next(l for l in text.splitlines() if l.startswith(f"{key} ="))
+    bad = text.replace(old, template.format(value))
     with pytest.raises(UsageError) as info:
         parse_problem_text(bad)
     assert str(info.value) == f"<string>:{line}: {key}: entries must be finite"
