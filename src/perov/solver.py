@@ -238,8 +238,9 @@ class ConditionCReport:
 
 
 def _vec(row: np.ndarray) -> Vector:
-    """A (1, n) row the loop owns, as a Vector leaving the loop; the row is frozen."""
-    return Vector._wrap_rows(row)[0]
+    """A (1, n) row the loop owns, as a Vector leaving the loop; the row is frozen with it."""
+    row.flags.writeable = False
+    return Vector._wrap(row[0])
 
 
 def _sup(a: np.ndarray) -> float:

@@ -10,8 +10,10 @@ from perov import (
     UsageError,
     Vector,
     WeightedMatrixMetric,
+    affine_preimage,
     certify_contraction,
     cone_contains,
+    jungck_solve,
     mat_apply,
     order_leq,
     order_ll,
@@ -73,6 +75,21 @@ def _solved_point():
     return res.point.components
 
 
+def _preimage_oracle_input():
+    g = MapSpec.affine(mat([[2.0]]), vec(0.0))
+    solve, seen = affine_preimage(g), []
+
+    def oracle(y):
+        seen.append(y)
+        return solve(y)
+
+    jungck_solve(
+        MapSpec.affine(mat([[0.5]]), vec(1.0)), g, oracle, WeightedMatrixMetric(mat([[1.0]])),
+        certify_contraction(mat([[0.25]]), 1e-9), vec(0.0), vec(1e-10),
+    )
+    return seen[0].components
+
+
 FROZEN = {
     "Vector": lambda: vec(1.0, 2.0).components,
     "Vector._wrap": lambda: Vector._wrap(np.array([1.0, 2.0])).components,
@@ -84,6 +101,7 @@ FROZEN = {
     "map output": lambda: MapSpec.affine(mat([[2.0]]), vec(1.0))(vec(3.0)).components,
     "certificate S": lambda: certify_contraction(mat([[0.5]]), 1e-9).S.entries,
     "solve point": _solved_point,
+    "preimage oracle input": _preimage_oracle_input,
 }
 
 
