@@ -497,8 +497,7 @@ def _cmd_certify(pf: ProblemFile, args) -> int:
 
 def _cmd_verify_lipschitz(pf: ProblemFile, args) -> int:
     k = _need(pf.k, "k")
-    g, _ = _resolve_g(pf)
-    ok = _lipschitz_gate(pf, g, k, args.samples)
+    ok = _lipschitz_gate(pf, pf.g or identity_map(pf.n), k, args.samples)
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
@@ -506,7 +505,7 @@ def _cmd_verify_condition_c(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
     if phi is None:
         return EXIT_HYPOTHESIS
-    g, _ = _resolve_g(pf)
+    g = pf.g or identity_map(pf.n)
     print("== contraction condition ==")
     return EXIT_OK if _condition_c_gate(pf, g, phi, args.samples) else EXIT_HYPOTHESIS
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
-from .ordered_algebra import SquareMatrix, Vector, _rows, _same_dim, _shaped
+from .ordered_algebra import SquareMatrix, Vector, _rows, _same_dim, _shaped, _slack
 from .sampling import Sampler, _draw, _witnesses
 
 __all__ = [
@@ -83,10 +83,13 @@ def check_metric_axioms(
       d1: d(x, y) has no negative component, d(x, x) = 0 exactly, and
           x != y implies d(x, y) != 0;
       d2: d(x, y) = d(y, x) exactly;
-      d3: d(x, z) + d(z, y) - d(x, y) >= -slack componentwise.
+      d3: d(x, z) + d(z, y) - d(x, y) >= -slack * max(1, m) componentwise,
+          m the largest component of the three distances.
 
-    The slack covers only the floating arithmetic of the triangle sum; the
-    sign tests for d1 and d2 are exact. The metric is called on stacks.
+    The slack is relative: it covers only the rounding of the triangle sum,
+    which grows with the distances summed, so a weight scaled by 1e6 is
+    judged as the unscaled one. The sign tests for d1 and d2 are exact. The
+    metric is called on stacks.
     """
     x, y, z = _draw(sampler, count, 3)
     dxy, dxx, dyx = metric(x, y), metric(x, x), metric(y, x)
@@ -98,7 +101,8 @@ def check_metric_axioms(
         + _witnesses(~np.any(dxy, axis=1) & np.any(x != y, axis=1), x, y, dxy),
         d2_violations=_witnesses(np.any(dxy != dyx, axis=1), x, y, dxy, dyx),
         d3_violations=_witnesses(
-            np.any(dxz + dzy - dxy < -slack, axis=1), x, y, z, dxy, dxz, dzy
+            np.any(dxz + dzy - dxy < -_slack(slack, dxy, dxz, dzy), axis=1),
+            x, y, z, dxy, dxz, dzy,
         ),
     )
 

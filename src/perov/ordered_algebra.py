@@ -32,21 +32,20 @@ _SCALARS = (int, float, np.integer, np.floating)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of arr, a finite float array that owns its data.
+    """An immutable copy of arr, a finite float array.
 
-    numpy lets an array that owns its data be made writeable again, and a
-    view too while an array under it is writeable; so the owner is frozen
-    and only a view of it is handed out. A view of a frozen owner may stand
-    for the owner.
+    numpy lets an array that owns its data, or a view of a writeable array,
+    be made writeable again. The copy lives in a bytes object instead, and
+    numpy refuses to make an array over it, or any view of it, writeable.
+    arr itself is left as it was.
     """
     if not np.isfinite(arr).all():
         raise UsageError("entries must be finite")
-    arr.flags.writeable = False
-    return arr.view()
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
 def _frozen_array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise UsageError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
     if arr.size == 0:
@@ -89,8 +88,8 @@ class SquareMatrix:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "SquareMatrix":
-        # internal: arr must be a fresh square float array owned by the
-        # caller; skips the defensive copy, keeps the finiteness guarantee
+        # internal: arr must be a square float array; skips the shape
+        # checks, keeps the finiteness guarantee
         m = object.__new__(cls)
         object.__setattr__(m, "entries", _freeze(arr))
         return m
@@ -160,17 +159,17 @@ class Vector:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Vector":
-        # internal: arr must be a fresh 1-d float array owned by the caller;
-        # skips the defensive copy, keeps the finiteness guarantee
+        # internal: arr must be a 1-d float array; skips the shape checks,
+        # keeps the finiteness guarantee
         v = object.__new__(cls)
         object.__setattr__(v, "components", _freeze(arr))
         return v
 
     @classmethod
     def _wrap_rows(cls, block: np.ndarray) -> list["Vector"]:
-        # internal: block must be a fresh (count, n) float array owned by the
-        # caller; one finiteness check and one freeze cover all its rows,
-        # and each Vector holds a read-only view of its row
+        # internal: block must be a (count, n) float array; one finiteness
+        # check and one copy cover all its rows, and each Vector holds a
+        # view of its row of the copy
         rows = []
         for row in _freeze(block):
             v = object.__new__(cls)
@@ -278,6 +277,12 @@ def _rows(x, n: int) -> np.ndarray:
     a = x.components if isinstance(x, Vector) else x
     _same_dim(n, a.shape[-1])
     return a
+
+
+def _slack(tol: float, *values: np.ndarray) -> np.ndarray:
+    """tol times max(1, largest absolute entry of the values), one row per sample."""
+    scale = np.max(np.abs(np.hstack(values)), axis=1, keepdims=True)
+    return tol * np.maximum(1.0, scale)
 
 
 def _shaped(out: np.ndarray):

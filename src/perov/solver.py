@@ -28,7 +28,7 @@ import numpy as np
 from .contraction import ContractionCertificate, check_comparison_axioms
 from .errors import EvaluationError, PreimageError, UsageError
 from .metric import MetricFn
-from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped
+from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped, _slack
 from .sampling import Sampler, _draw, _witnesses, cone_sampler
 
 __all__ = [
@@ -64,9 +64,6 @@ WEAK_COMPAT_TOL = 1e-8
 # Excess of a step distance over phi of the previous one that the online
 # check of comparison_solve forgives, relative to the values compared.
 _STEP_SLACK = 1e-12
-
-# Pushes through f after g-inversion that polish a common fixed point.
-_POLISH_STEPS = 64
 
 # Excess of d(f x, f y) over its sampled bound that the Lipschitz and
 # condition-C checks forgive, relative to the sup norms of f x, f y, g x, g y.
@@ -206,8 +203,17 @@ class SolveResult:
     trace: IterationTrace
     residual: Vector
     weakly_compatible: bool | None = None
-    common_fixed_point: Vector | None = None
     hypothesis_witness: dict | None = None
+
+    @property
+    def common_fixed_point(self) -> Vector | None:
+        """The value g(p) when f and g are weakly compatible at p, else None.
+
+        A unique point of coincidence of a weakly compatible pair is their
+        unique common fixed point (Abbas & Jungck, J. Math. Anal. Appl. 341,
+        2008, Prop. 1.12), so the value needs no further iteration.
+        """
+        return self.value if self.weakly_compatible else None
 
 
 @dataclass
@@ -238,8 +244,7 @@ class ConditionCReport:
 
 
 def _vec(row: np.ndarray) -> Vector:
-    """A (1, n) row the loop owns, as a Vector leaving the loop; the row is frozen with it."""
-    row.flags.writeable = False
+    """A (1, n) row of the loop, as a Vector leaving the loop."""
     return Vector._wrap(row[0])
 
 
@@ -264,12 +269,6 @@ def _checked_preimage(g_solve: MapFn, g: MapFn, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _gate_slack(*values: np.ndarray) -> np.ndarray:
-    """_GATE_SLACK times max(1, largest sup norm of the values), one row per sample."""
-    scale = np.max(np.abs(np.hstack(values)), axis=1, keepdims=True)
-    return _GATE_SLACK * np.maximum(1.0, scale)
-
-
 def verify_matrix_lipschitz(
     f: MapFn,
     g: MapFn,
@@ -278,14 +277,14 @@ def verify_matrix_lipschitz(
     sampler: Sampler,
     count: int,
 ) -> LipschitzReport:
-    """Sample pairs and test d(f x, f y) <= k d(g x, g y) within _gate_slack."""
+    """Sample pairs and test d(f x, f y) <= k d(g x, g y) within _GATE_SLACK."""
     if np.any(k.entries < 0.0):
         raise UsageError("coefficient matrix must have nonnegative entries")
     x, y = _draw(sampler, count, 2)
     fx, fy, gx, gy = f(x), f(y), g(x), g(y)
     lhs = metric(fx, fy)
     rhs = _rows(metric(gx, gy), k.n) @ k.entries.T
-    bad = np.any(rhs - lhs < -_gate_slack(fx, fy, gx, gy), axis=1)
+    bad = np.any(rhs - lhs < -_slack(_GATE_SLACK, fx, fy, gx, gy), axis=1)
     return LipschitzReport(count, _witnesses(bad, x, y, lhs, rhs))
 
 
@@ -300,13 +299,13 @@ def verify_condition_c(
     """Sample pairs and test the three-branch comparison condition.
 
     A pair passes when d(f x, f y) <= phi(u) for at least one of
-    u = d(g x, g y), d(g x, f x), d(g y, f y), within _gate_slack; the
+    u = d(g x, g y), d(g x, f x), d(g y, f y), within _GATE_SLACK; the
     first satisfied branch is tallied.
     """
     x, y = _draw(sampler, count, 2)
     fx, fy, gx, gy = f(x), f(y), g(x), g(y)
     lhs = metric(fx, fy)
-    slack = _gate_slack(fx, fy, gx, gy)
+    slack = _slack(_GATE_SLACK, fx, fy, gx, gy)
     candidates = (metric(gx, gy), metric(gx, fx), metric(gy, fy))
     unmet = np.ones(count, dtype=bool)
     counts = []
@@ -317,33 +316,10 @@ def verify_condition_c(
     return ConditionCReport(count, _witnesses(unmet, x, y, lhs, *candidates), counts)
 
 
-def _weak_compat_and_polish(
-    f: MapFn,
-    g: MapFn,
-    g_solve: MapFn,
-    metric: MetricFn,
-    p: np.ndarray,
-    eps: np.ndarray,
-) -> tuple[bool, Vector | None]:
-    """Check commutation at a coincidence point (a (1, n) row) and polish the common point.
-
-    Weak compatibility asks f(g p) = g(f p) at the coincidence point only.
-    When it holds, the shared value is the unique common fixed point; a few
-    more pushes through f after g-inversion refine it.
-    """
-    fp = f(p)
-    fgp, gfp = f(g(p)), g(fp)
-    if not _within(_sup(fgp - gfp), WEAK_COMPAT_TOL, fgp, gfp):
-        return False, None
-    target = 0.01 * eps
-    z = fp
-    for _ in range(_POLISH_STEPS):
-        z_next = f(_checked_preimage(g_solve, g, z))
-        step = metric(z, z_next)
-        z = z_next
-        if (step == 0.0).all() or (target - step > 0.0).all():
-            break
-    return True, _vec(z)
+def _weakly_compatible(f: MapFn, g: MapFn, p: np.ndarray) -> bool:
+    """Whether f(g p) = g(f p), within WEAK_COMPAT_TOL, at a coincidence point (a (1, n) row)."""
+    fgp, gfp = f(g(p)), g(f(p))
+    return _within(_sup(fgp - gfp), WEAK_COMPAT_TOL, fgp, gfp)
 
 
 def _iterate(
@@ -436,16 +412,14 @@ def _iterate(
     if residual is None:
         residual = metric(f(x), value)
     weak: bool | None = None
-    common: Vector | None = None
     if g is not None and status is SolveStatus.CONVERGED:
-        weak, common = _weak_compat_and_polish(f, g, g_solve, metric, x, eps)
+        weak = _weakly_compatible(f, g, x)
     return SolveResult(
         point=_vec(x),
         value=_vec(value),
         trace=IterationTrace(status, steps),
         residual=_vec(residual),
         weakly_compatible=weak,
-        common_fixed_point=common,
         hypothesis_witness=witness,
     )
 
@@ -493,9 +467,9 @@ def jungck_solve(
 
     g is inverted through g_solve, a Vector -> Vector oracle whose residual
     is checked at every step (a breach raises PreimageError). On convergence
-    the result carries the coincidence point p, the value g(p), the
-    weak-compatibility verdict at p, and, when that verdict holds, the
-    polished common fixed point. f, g, the metric and on_step are used as in
+    the result carries the coincidence point p, the value g(p) and the
+    weak-compatibility verdict at p; when that verdict holds, the value is
+    also the common fixed point. f, g, the metric and on_step are used as in
     perov_solve, with y = g(x_j) (after step 0 the common value
     f(x_{j-1}) = g(x_j)) and dist = d(g x_j, f x_j).
     """

@@ -311,6 +311,37 @@ def test_run_lipschitz_slack_scales_with_offsets(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+SINGULAR_G = """\
+n = 2
+W = 1, 0.1; 0.1, 1
+f.kind = affine
+f.M = 0.25, 0.25; 0.25, 0.25
+f.b = 0, 0
+g.kind = affine
+g.M = 1, 1; 1, 1
+g.b = 0, 0
+k = 0.5, 0; 0, 0.5
+x0 = 0, 0
+eps = 1e-10
+"""
+
+
+@pytest.mark.parametrize(
+    ("command", "gain", "record"),
+    [("verify-lipschitz", "k", "lipschitz"), ("verify-condition-c", "lambda", "condition_c")],
+)
+def test_sampled_checks_do_not_invert_g(tmp_path, capsys, command, gain, record):
+    # the checks evaluate g only; a singular g matters once a solve inverts it
+    code = run([command, write(tmp_path, SINGULAR_G.replace("k =", f"{gain} ="))])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert f"#REC kind={record} samples=1000 violations=0 " in out
+    assert "verdict=pass" in out
+    code = run(["solve-jungck", write(tmp_path, SINGULAR_G)])
+    assert code == EXIT_USAGE
+    assert "map matrix is singular; supply a preimage oracle" in capsys.readouterr().err
+
+
 def test_run_solve_gate_blocks_bad_hypothesis(tmp_path, capsys):
     # solve-perov refuses to iterate when the sampled coefficient check fails
     text = MINIMAL.replace("f.M = 0.5", "f.M = 2")

@@ -88,10 +88,13 @@ def test_stack_keeps_the_vector_checks():
 
 
 def test_axioms_pass_for_valid_weight():
-    m = WeightedMatrixMetric(mat([[1.0, 0.25], [0.25, 1.0]]))
-    report = check_metric_axioms(m, uniform_sampler(2, seed=5), 2000)
-    assert report.passed
-    assert report.samples_tested == 2000
+    # the triangle slack is relative: the rounding of the triangle sum grows
+    # with the distances, and an absolute 1e-12 refutes the scaled weights
+    for scale in (1.0, 1e3, 1e6):
+        m = WeightedMatrixMetric(mat([[1.0, 0.25], [0.25, 1.0]]) * scale)
+        report = check_metric_axioms(m, uniform_sampler(2, seed=5), 2000)
+        assert report.passed, scale
+        assert report.samples_tested == 2000
 
 
 def test_axioms_catch_identity_failure():
@@ -126,13 +129,14 @@ def test_axioms_catch_signed_difference():
 
 
 def test_axioms_catch_triangle_failure():
-    # squaring the coordinate gaps breaks subadditivity
-    def broken(x, y):
-        return (x - y) ** 2
+    # squaring the coordinate gaps breaks subadditivity at every scale
+    for scale in (1.0, 1e3, 1e6):
+        def broken(x, y):
+            return scale * (x - y) ** 2
 
-    report = check_metric_axioms(broken, uniform_sampler(2, seed=8), 500)
-    assert not report.passed
-    assert report.d3_violations
+        report = check_metric_axioms(broken, uniform_sampler(2, seed=8), 500)
+        assert not report.passed, scale
+        assert report.d3_violations, scale
 
 
 def test_scaling_coherence():

@@ -92,6 +92,7 @@ def _preimage_oracle_input():
 
 FROZEN = {
     "Vector": lambda: vec(1.0, 2.0).components,
+    "Vector .base": lambda: vec(1.0, 2.0).components.base,
     "Vector._wrap": lambda: Vector._wrap(np.array([1.0, 2.0])).components,
     "Vector._wrap_rows": lambda: Vector._wrap_rows(np.ones((2, 2)))[1].components,
     "SquareMatrix": lambda: mat([[1.0, 2.0], [3.0, 4.0]]).entries,

@@ -65,6 +65,14 @@ class StepLog:
         self.bounds.append(Vector(bound))
 
 
+def assert_common_point_is_value(res):
+    """The common fixed point is the value, bit for bit, exactly when the pair is weakly compatible."""
+    if res.weakly_compatible:
+        assert res.common_fixed_point.components.tobytes() == res.value.components.tobytes()
+    else:
+        assert res.common_fixed_point is None
+
+
 # -- map grammar ------------------------------------------------------------
 
 
@@ -360,6 +368,7 @@ def test_jungck_commuting_pair():
     assert abs(res.value.components[0]) < 1e-9
     assert res.weakly_compatible is True
     assert abs(res.common_fixed_point.components[0]) < 1e-10
+    assert_common_point_is_value(res)
 
 
 def test_jungck_non_commuting_pair():
@@ -374,6 +383,7 @@ def test_jungck_non_commuting_pair():
     assert abs(res.value.components[0] - 2.0) < 1e-10
     assert res.weakly_compatible is False
     assert res.common_fixed_point is None
+    assert_common_point_is_value(res)
 
 
 def test_jungck_identity_pair_converges_in_one_step():
@@ -581,7 +591,7 @@ def _random_problem(kind, seed, **options):
     b = rng.uniform(-10.0, 10.0, n)
     f = MapSpec.affine(SquareMatrix(m), Vector(b))
     # g = s x + c commutes with f when (m - 1) c = (s - 1) b, so the
-    # coincidence solvers also polish a common fixed point
+    # coincidence solvers also report a common fixed point
     s = rng.uniform(0.8, 1.25)
     c = np.linalg.solve(m - np.eye(n), (s - 1.0) * b)
     g = MapSpec.affine(SquareMatrix.diagonal(np.full(n, s)), Vector(c))
@@ -611,6 +621,7 @@ def test_on_step_streams_what_the_trace_records(kind, seed):
         a, b = getattr(streamed, name), getattr(plain, name)
         assert (a is None and b is None) or a.components.tobytes() == b.components.tobytes()
     assert streamed.weakly_compatible is plain.weakly_compatible
+    assert_common_point_is_value(streamed)
 
 
 def test_streamed_trace_holds_no_rows():
