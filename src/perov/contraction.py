@@ -201,6 +201,11 @@ class LinearComparison:
     def __call__(self, t):
         return comparison_apply(self, t)
 
+    def _raw(self, a):  # finiteness unchecked, for the solve loop
+        if (a < 0.0).any():
+            raise UsageError("comparison functions are defined on the cone only")
+        return a @ self.gain.entries.T
+
 
 def linear_comparison(gain: SquareMatrix, tol: float = 1e-9) -> LinearComparison:
     """Build a LinearComparison, certifying the gain matrix on the way."""
@@ -212,10 +217,7 @@ def linear_comparison(gain: SquareMatrix, tol: float = 1e-9) -> LinearComparison
 
 def comparison_apply(phi: LinearComparison, t):
     """Apply a linear comparison function to a cone Vector or a (count, n) stack."""
-    a = _rows(t, phi.n)
-    if np.any(a < 0.0):
-        raise UsageError("comparison functions are defined on the cone only")
-    return _shaped(a @ phi.gain.entries.T)
+    return _shaped(phi._raw(_rows(t, phi.n)))
 
 
 @dataclass

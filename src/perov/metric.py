@@ -46,11 +46,13 @@ class WeightedMatrixMetric:
     def __call__(self, x, y):
         return metric_eval(self, x, y)
 
+    def _raw(self, a, b):  # unchecked, for the solve loop
+        return np.abs(a - b) @ self.weight.entries.T
+
 
 def metric_eval(m: WeightedMatrixMetric, x, y):
     """Weighted distance, in the cone, of two Vectors or row by row of two stacks."""
-    a, b = _rows(x, m.n), _rows(y, m.n)
-    return _shaped(np.abs(a - b) @ m.weight.entries.T)
+    return _shaped(m._raw(_rows(x, m.n), _rows(y, m.n)))
 
 
 @dataclass

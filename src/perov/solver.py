@@ -11,10 +11,11 @@ computable tail bound: phi is screened on a cone sample first and the
 contraction condition is verified online at every step.
 
 The loop keeps its state as (1, n) arrays and calls f, g, the metric and
-phi in their (count, n) stack form, which checks dimensions and finiteness
-as the Vector form does; values become Vectors only where they leave the
-loop. A step leaves the loop only through the caller's on_step, as it is
-taken: a solve holds no rows, and its memory does not grow with the budget.
+phi in their (count, n) stack form: a declarative one as its unchecked _raw
+arithmetic, with one finiteness test per step; values become Vectors only
+where they leave the loop. A step leaves the loop only through the caller's
+on_step, as it is taken: a solve holds no rows, and its memory does not
+grow with the budget.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .contraction import ContractionCertificate, check_comparison_axioms
 from .errors import EvaluationError, PreimageError, UsageError
 from .metric import MetricFn
-from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped, _slack
+from .ordered_algebra import SquareMatrix, Vector, _rows, _same_dim, _shaped, _slack
 from .sampling import Sampler, _draw, _witnesses, cone_sampler
 
 __all__ = [
@@ -69,6 +70,8 @@ _STEP_SLACK = 1e-12
 # condition-C checks forgive, relative to the sup norms of f x, f y, g x, g y.
 _GATE_SLACK = 1e-12
 
+_NON_FINITE_MAP = "map evaluation produced a non-finite value"
+
 _TAG_FUNCS = {
     "identity": lambda z: z,
     "sin": np.sin,
@@ -86,7 +89,8 @@ class MapSpec:
       affine:                  x -> M x + b
       componentwise-nonlinear: x -> M u + b with u_i = tag_i((L x + d)_i),
     where each tag names a scalar function from the fixed catalog
-    (identity, sin, cos, tanh, atan).
+    (identity, sin, cos, tanh, atan). A call checks dimension and
+    finiteness; _raw, for the solve loop, is the same arithmetic unchecked.
     """
 
     kind: str
@@ -140,19 +144,20 @@ class MapSpec:
 
     def __call__(self, x):
         """Map a Vector to a Vector, or a (count, n) stack of points row by row."""
-        a = _rows(x, self.n)
         # overflow becomes a typed error below, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "affine":
-                raw = a @ self.M.entries.T + self.b.components
-            else:
-                u = a @ self.L.entries.T + self.d.components
-                for i, tag in enumerate(self.tags):
-                    u[..., i] = _TAG_FUNCS[tag](u[..., i])
-                raw = u @ self.M.entries.T + self.b.components
+            raw = self._raw(_rows(x, self.n))
         if not np.isfinite(raw).all():
-            raise EvaluationError("map evaluation produced a non-finite value")
+            raise EvaluationError(_NON_FINITE_MAP)
         return raw if raw.ndim > 1 else Vector._wrap(raw)
+
+    def _raw(self, a):  # the caller holds the errstate and checks finiteness
+        if self.kind == "affine":
+            return a @ self.M.entries.T + self.b.components
+        u = a @ self.L.entries.T + self.d.components
+        for i, tag in enumerate(self.tags):
+            u[..., i] = _TAG_FUNCS[tag](u[..., i])
+        return u @ self.M.entries.T + self.b.components
 
 
 def identity_map(n: int) -> MapSpec:
@@ -162,21 +167,23 @@ def identity_map(n: int) -> MapSpec:
 def affine_preimage(g: MapSpec) -> MapFn:
     """Invert an affine map, as an oracle y -> x with g(x) = y.
 
-    The matrix must be invertible; singularity is a usage error raised here
-    rather than at the first call.
+    The oracle takes a Vector or a (count, n) stack, like a MapSpec, and
+    refuses a non-finite answer. The matrix must be invertible; singularity
+    is a usage error raised here rather than at the first call.
     """
     if g.kind != "affine":
         raise UsageError("only affine maps can be auto-inverted")
-    m = np.array(g.M.entries)
-    b = np.array(g.b.components)
+    m, b, n = g.M.entries, g.b.components, g.n
     try:
-        np.linalg.solve(m, np.zeros(g.n))
+        np.linalg.solve(m, np.zeros(n))
     except np.linalg.LinAlgError as exc:
         raise UsageError("map matrix is singular; supply a preimage oracle") from exc
 
-    def solve(y: Vector) -> Vector:
-        return Vector._wrap(np.linalg.solve(m, y.components - b))
+    def solve(y):
+        return _shaped(solve._raw(_rows(y, n)))
 
+    # a 1-d right-hand side and its (n, 1) column give the same bits
+    solve._raw, solve.n = lambda a: np.linalg.solve(m, (a - b).T).T, n
     return solve
 
 
@@ -257,16 +264,30 @@ def _within(value: float, tol: float, *operands: np.ndarray) -> bool:
     return value <= tol or value <= tol * max(_sup(a) for a in operands)
 
 
-def _checked_preimage(g_solve: MapFn, g: MapFn, y: np.ndarray) -> np.ndarray:
-    """The row g_solve(y) for a (1, n) row y, its residual d(g x, y) checked."""
-    x = g_solve(_vec(y)).components[None]
-    residual = _sup(g(x) - y)
-    if not _within(residual, PREIMAGE_TOL, x, y):
-        raise PreimageError(
-            f"preimage oracle residual {residual!r} exceeds {PREIMAGE_TOL!r} "
-            f"relative to the operands"
-        )
-    return x
+def _lowered(c, n: int, plain=None):
+    """c's unchecked _raw stack form, its dimension checked once; else plain, or c itself."""
+    if not hasattr(c, "_raw"):
+        return c if plain is None else plain
+    _same_dim(c.n, n)
+    return c._raw
+
+
+def _checked_preimage(solve, g, g_solve: MapFn, y: np.ndarray) -> np.ndarray:
+    """The row x = solve(y) for a (1, n) row y, finite and with its residual |g x - y| checked."""
+    x = solve(y)
+    gx = g(x)
+    residual = _sup(gx - y)
+    if np.isfinite(x).all() and _within(residual, PREIMAGE_TOL, x, y):
+        return x
+    if not np.isfinite(x).all():
+        g_solve(y)  # only a lowered oracle returns a non-finite row; its checked form raises
+        raise UsageError("entries must be finite")
+    if not np.isfinite(gx).all():
+        raise EvaluationError(_NON_FINITE_MAP)
+    raise PreimageError(
+        f"preimage oracle residual {residual!r} exceeds {PREIMAGE_TOL!r} "
+        f"relative to the operands"
+    )
 
 
 def verify_matrix_lipschitz(
@@ -344,7 +365,9 @@ def _iterate(
     screened on 128 cone samples, every step distance must stay below phi of
     the previous one, and an exactly zero step ends the run at the current
     point. Each step goes to on_step, when given, before its checks, so a
-    step that breaks a hypothesis is seen too.
+    step that breaks a hypothesis is seen too. One finiteness test per step
+    covers y (else EvaluationError), dist and bound (else UsageError),
+    whatever callable made them; the residual test covers x and g(x).
     """
     n = getattr(metric, "n", x0.n)
     if x0.n != n or eps.n != n:
@@ -367,47 +390,59 @@ def _iterate(
     eps_half = 0.5 * eps
     x = x0.components[None]
     prev_val = x if g is None else g(x)
+    f_raw, metric_raw = _lowered(f, n), _lowered(metric, n)
+    if g is not None:  # a user oracle gets the row as a frozen Vector
+        g_raw = _lowered(g, n)
+        solve = _lowered(g_solve, n, lambda row: g_solve(_vec(row)).components[None])
+    phi_raw = None if phi is None else _lowered(phi, n)
     steps = 0
     prev_d: np.ndarray | None = None
     residual: np.ndarray | None = None
-    for j in range(budget):
-        y = f(x)
-        d_j = metric(prev_val, y)
-        # a @ M.T on a row is bitwise M @ a; _shaped keeps the finiteness check
-        if j == 0:
-            bound = d_j if cert is None else _shaped(d_j @ cert.S.entries.T)
-        else:
-            bound = phi(bound) if cert is None else _shaped(bound @ cert.k.entries.T)
-        if on_step is not None:
-            on_step(j, prev_val[0], d_j[0], bound[0])
-        steps = j + 1
-        if phi is not None:
-            if j >= 1:
-                dominated = phi(prev_d)
-                excess = float(np.max(d_j - dominated))
-                if not _within(excess, _STEP_SLACK, prev_val, y, dominated):
-                    status = SolveStatus.HYPOTHESIS_VIOLATED
-                    witness = {
-                        "stage": "online-step",
-                        "step": j,
-                        "step_dist": _vec(d_j),
-                        "previous_dist": _vec(prev_d),
-                        "comparison_value": _vec(dominated),
-                    }
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness tests catch overflow
+        for j in range(budget):
+            y = f_raw(x)
+            d_j = metric_raw(prev_val, y)
+            # keep M.T a view: a contiguous copy takes another BLAS path and moves bits
+            if j == 0:
+                bound = d_j if cert is None else d_j @ cert.S.entries.T
+            else:
+                bound = phi_raw(bound) if cert is None else bound @ cert.k.entries.T
+            if not np.isfinite(y + d_j + bound).all():
+                if not np.isfinite(y).all():
+                    raise EvaluationError(_NON_FINITE_MAP)
+                _shaped(np.vstack((d_j, bound)))  # raises unless only the sum overflowed
+            if on_step is not None:
+                on_step(j, prev_val[0], d_j[0], bound[0])
+            steps = j + 1
+            if phi is not None:
+                if j >= 1:
+                    dominated = _shaped(phi_raw(prev_d))
+                    excess = float(np.max(d_j - dominated))
+                    if not _within(excess, _STEP_SLACK, prev_val, y, dominated):
+                        status = SolveStatus.HYPOTHESIS_VIOLATED
+                        witness = {
+                            "stage": "online-step",
+                            "step": j,
+                            "step_dist": _vec(d_j),
+                            "previous_dist": _vec(prev_d),
+                            "comparison_value": _vec(dominated),
+                        }
+                        break
+                if (d_j == 0.0).all():
+                    # The current point is an exact coincidence point.
+                    status = SolveStatus.CONVERGED
                     break
-            if (d_j == 0.0).all():
-                # The current point is an exact coincidence point.
-                status = SolveStatus.CONVERGED
-                break
-        x_next = y if g is None else _checked_preimage(g_solve, g, y)
-        certified = cert is not None and (eps - bound > 0.0).all()
-        if (certified or (eps_half - d_j > 0.0).all()) and (eps - d_j > 0.0).all():
-            gap = metric(f(x_next), x_next if g is None else g(x_next))
-            if (eps - gap > 0.0).all():
-                status = SolveStatus.CONVERGED
-                x, residual = x_next, gap
-                break
-        prev_val, prev_d, x = y, d_j, x_next
+            x_next = y if g is None else _checked_preimage(solve, g_raw, g_solve, y)
+            # the step test comes first: it fails on all but the last few steps
+            if (eps - d_j > 0.0).all() and (
+                (cert is not None and (eps - bound > 0.0).all()) or (eps_half - d_j > 0.0).all()
+            ):
+                gap = metric(f(x_next), x_next if g is None else g(x_next))
+                if (eps - gap > 0.0).all():
+                    status = SolveStatus.CONVERGED
+                    x, residual = x_next, gap
+                    break
+            prev_val, prev_d, x = y, d_j, x_next
     value = x if g is None else g(x)
     if residual is None:
         residual = metric(f(x), value)

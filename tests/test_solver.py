@@ -143,6 +143,20 @@ def test_affine_preimage_round_trip():
     assert np.allclose(g(x).components, y.components, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_affine_preimage_on_a_row_matches_its_vector_answer(n):
+    # the solve loop hands the oracle a (1, n) row, which numpy solves as an
+    # (n, 1) right-hand side; the bits must be those of the 1-d solve
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.5, 2.0) * np.eye(n)
+        solve = affine_preimage(MapSpec.affine(SquareMatrix(m), Vector(rng.uniform(-5.0, 5.0, n))))
+        y = rng.uniform(-10.0, 10.0, n)
+        expected = solve(Vector(y)).components.tobytes()
+        assert solve(y[None])[0].tobytes() == expected
+        assert perov.solver._lowered(solve, n)(y[None])[0].tobytes() == expected
+
+
 def test_affine_preimage_rejects_singular():
     g = MapSpec.affine(mat([[1.0, 1.0], [1.0, 1.0]]), Vector.zeros(2))
     with pytest.raises(UsageError):
@@ -582,8 +596,17 @@ def test_perov_is_jungck_with_identity(seed):
     assert np.array_equal(a.point.components, b.point.components)
 
 
-def _random_problem(kind, seed, **options):
-    """One seeded affine problem, solved by the named wrapper."""
+def _as_plain_functions(*callables):
+    """Library stand-ins for declarative callables: plain functions that call them."""
+    return [lambda *args, c=c: c(*args) for c in callables]
+
+
+def _random_problem(kind, seed, wrapped=False, **options):
+    """One seeded affine problem, solved by the named wrapper.
+
+    wrapped=True passes f, g, the metric, phi and the preimage oracle as
+    plain functions, which the loop calls as library callables.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     m = rng.uniform(0.0, 1.0, (n, n))
@@ -597,30 +620,41 @@ def _random_problem(kind, seed, **options):
     g = MapSpec.affine(SquareMatrix.diagonal(np.full(n, s)), Vector(c))
     metric = WeightedMatrixMetric(SquareMatrix(rng.uniform(0.1, 1.0, (n, n))))
     x0, eps = Vector(rng.uniform(-10.0, 10.0, n)), Vector.full(n, 1e-10)
+    phi = linear_comparison(SquareMatrix.diagonal(np.full(n, 0.95)))
+    solve = affine_preimage(g)
+    if wrapped:
+        f, g, metric, phi, solve = _as_plain_functions(f, g, metric, phi, solve)
     if kind == "perov":
         cert = certify_contraction(SquareMatrix(m), 1e-9)
         return perov_solve(f, metric, cert, x0, eps, 500, **options)
     if kind == "jungck":
         cert = certify_contraction(SquareMatrix(m), 1e-9)
-        return jungck_solve(f, g, affine_preimage(g), metric, cert, x0, eps, 500, **options)
-    phi = linear_comparison(SquareMatrix.diagonal(np.full(n, 0.95)))
-    return comparison_solve(f, g, affine_preimage(g), phi, metric, x0, eps, 500, **options)
+        return jungck_solve(f, g, solve, metric, cert, x0, eps, 500, **options)
+    return comparison_solve(f, g, solve, phi, metric, x0, eps, 500, **options)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind", ["perov", "jungck", "comparison"])
 def test_on_step_streams_what_the_trace_records(kind, seed):
     # a solve ends bit for bit the same with and without on_step, after as
-    # many steps as on_step was called
+    # many steps as on_step was called; declarative callables run lowered,
+    # and plain functions that call them run as library callables through
+    # the same loop, to the same bits
     plain = _random_problem(kind, seed)
     log = StepLog()
     streamed = _random_problem(kind, seed, on_step=log)
-    assert streamed.trace == plain.trace
+    library_log = StepLog()
+    library = _random_problem(kind, seed, wrapped=True, on_step=library_log)
     assert streamed.trace.iterations == len(log.points) > 0
-    for name in ("point", "value", "residual", "common_fixed_point"):
-        a, b = getattr(streamed, name), getattr(plain, name)
-        assert (a is None and b is None) or a.components.tobytes() == b.components.tobytes()
-    assert streamed.weakly_compatible is plain.weakly_compatible
+    for other in (plain, library):
+        assert other.trace == streamed.trace
+        for name in ("point", "value", "residual", "common_fixed_point"):
+            a, b = getattr(streamed, name), getattr(other, name)
+            assert (a is None and b is None) or a.components.tobytes() == b.components.tobytes()
+        assert other.weakly_compatible is streamed.weakly_compatible
+    for name in ("points", "step_dists", "bounds"):
+        left, right = getattr(log, name), getattr(library_log, name)
+        assert [v.components.tobytes() for v in left] == [v.components.tobytes() for v in right]
     assert_common_point_is_value(streamed)
 
 
@@ -682,6 +716,76 @@ def test_residual_is_distance_of_f_and_g_at_point():
         expected = scalar_metric()(f(res.point), g(res.point))
         assert np.array_equal(res.residual.components, expected.components)
     assert statuses == set(SolveStatus)
+
+
+# -- non-finite values inside the loop ----------------------------------------
+
+
+def test_map_overflow_mid_solve_raises_before_its_step():
+    # y = 1e10^(j+1) at step j; step 30 overflows and is never handed out
+    log = StepLog()
+    cert = certify_contraction(mat([[0.5]]), 1e-9)
+    with pytest.raises(EvaluationError, match="map evaluation produced a non-finite value"):
+        perov_solve(scalar_map(1e10, 0.0), scalar_metric(), cert, vec(1.0), EPS1, on_step=log)
+    assert len(log.points) == 30
+
+
+def test_preimage_overflow_mid_solve_raises_after_its_step():
+    # the auto-inverse of g = 1e-310 x sends y = 1 to 1e310
+    g = scalar_map(1e-310, 0.0)
+    log = StepLog()
+    cert = certify_contraction(mat([[0.5]]), 1e-9)
+    with pytest.raises(UsageError, match="^entries must be finite$"):
+        jungck_solve(
+            scalar_map(0.5, 1.0), g, affine_preimage(g), scalar_metric(), cert,
+            vec(0.0), EPS1, on_step=log,
+        )
+    assert len(log.points) == 1
+
+
+def test_residual_overflow_mid_solve_raises_after_its_step():
+    # g_solve sends y = 1 to 1e10, where g(x) = 1e300 x overflows
+    log = StepLog()
+    cert = certify_contraction(mat([[0.5]]), 1e-9)
+    with pytest.raises(EvaluationError, match="map evaluation produced a non-finite value"):
+        jungck_solve(
+            scalar_map(0.5, 1.0), scalar_map(1e300, 0.0), scalar_map(1e10, 0.0),
+            scalar_metric(), cert, vec(0.0), EPS1, on_step=log,
+        )
+    assert len(log.points) == 1
+
+
+def _third_call_infinite(fn):
+    """A plain function that returns fn's value, except inf at its third call."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        value = fn(*args)
+        return np.full_like(value, np.inf) if len(calls) == 3 else value
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    ("which", "error", "message"),
+    [
+        ("f", EvaluationError, "map evaluation produced a non-finite value"),
+        ("metric", UsageError, "^entries must be finite$"),
+    ],
+)
+def test_non_finite_value_from_a_library_callable_is_refused(which, error, message):
+    # every step's y, dist and bound are checked, whatever callable made them
+    parts = {"f": scalar_map(0.5, 1.0), "metric": scalar_metric()}
+    parts[which] = _third_call_infinite(parts[which])
+    dists = []
+    cert = certify_contraction(mat([[0.5]]), 1e-9)
+    with pytest.raises(error, match=message):
+        perov_solve(
+            parts["f"], parts["metric"], cert, vec(0.0), EPS1,
+            on_step=lambda j, y, dist, bound: dists.append(dist.copy()),
+        )
+    assert len(dists) == 2
 
 
 # -- tolerances scale with their operands -------------------------------------
