@@ -202,9 +202,9 @@ class LinearComparison:
         return comparison_apply(self, t)
 
     def _raw(self, a):  # finiteness unchecked, for the solve loop
-        if (a < 0.0).any():
+        if np.logical_or.reduce(a < 0.0, None):
             raise UsageError("comparison functions are defined on the cone only")
-        return a @ self.gain.entries.T
+        return a.dot(self.gain.entries.T)
 
 
 def linear_comparison(gain: SquareMatrix, tol: float = 1e-9) -> LinearComparison:
@@ -291,19 +291,23 @@ def check_comparison_axioms(
 
 def _tail(phi, u: np.ndarray, threshold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: whether phi^j(u) gets below threshold while finite and moving,
-    and j. Overwrites u."""
+    and j. The rows still going are kept compacted, in order, with their
+    thresholds: each application is one phi call on them and one boolean
+    index, and a row's j is written when it leaves."""
     reached = np.all(threshold - u > 0.0, axis=1)
     applications = np.zeros(len(u), dtype=int)
     active = np.flatnonzero(~reached)
-    for _ in range(_TAIL_BUDGET):
+    u, threshold = u[active], threshold[active]
+    for j in range(1, _TAIL_BUDGET + 1):
         if not active.size:
             break
-        u_next = phi(u[active])
-        applications[active] += 1
-        moving = np.all(np.isfinite(u_next), axis=1) & np.any(u_next != u[active], axis=1)
-        active, u_next = active[moving], u_next[moving]
-        u[active] = u_next
-        below = np.all(threshold[active] - u_next > 0.0, axis=1)
+        u_next = phi(u)
+        moving = np.logical_and.reduce(np.isfinite(u_next), 1)
+        moving &= np.logical_or.reduce(u_next != u, 1)
+        below = moving & np.logical_and.reduce(threshold - u_next > 0.0, 1)
+        going = moving ^ below
+        applications[active[~going]] = j
         reached[active[below]] = True
-        active = active[~below]
+        active, u, threshold = active[going], u_next[going], threshold[going]
+    applications[active] = _TAIL_BUDGET
     return reached, applications

@@ -47,7 +47,7 @@ class WeightedMatrixMetric:
         return metric_eval(self, x, y)
 
     def _raw(self, a, b):  # unchecked, for the solve loop
-        return np.abs(a - b) @ self.weight.entries.T
+        return np.abs(a - b).dot(self.weight.entries.T)
 
 
 def metric_eval(m: WeightedMatrixMetric, x, y):

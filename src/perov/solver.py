@@ -21,10 +21,12 @@ grow with the budget.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .contraction import ContractionCertificate, check_comparison_axioms
 from .errors import EvaluationError, PreimageError, UsageError
@@ -153,11 +155,11 @@ class MapSpec:
 
     def _raw(self, a):  # the caller holds the errstate and checks finiteness
         if self.kind == "affine":
-            return a @ self.M.entries.T + self.b.components
-        u = a @ self.L.entries.T + self.d.components
+            return a.dot(self.M.entries.T) + self.b.components
+        u = a.dot(self.L.entries.T) + self.d.components
         for i, tag in enumerate(self.tags):
             u[..., i] = _TAG_FUNCS[tag](u[..., i])
-        return u @ self.M.entries.T + self.b.components
+        return u.dot(self.M.entries.T) + self.b.components
 
 
 def identity_map(n: int) -> MapSpec:
@@ -169,7 +171,10 @@ def affine_preimage(g: MapSpec) -> MapFn:
 
     The oracle takes a Vector or a (count, n) stack, like a MapSpec, and
     refuses a non-finite answer. The matrix must be invertible; singularity
-    is a usage error raised here rather than at the first call.
+    is a usage error raised here rather than at the first call. Its _raw
+    form, for the solve loop, takes a stack and calls LAPACK's gesv kernel,
+    which np.linalg.solve wraps, directly: the same bits without the
+    wrapper's checks. gesv factors g.M again at every call.
     """
     if g.kind != "affine":
         raise UsageError("only affine maps can be auto-inverted")
@@ -180,10 +185,10 @@ def affine_preimage(g: MapSpec) -> MapFn:
         raise UsageError("map matrix is singular; supply a preimage oracle") from exc
 
     def solve(y):
-        return _shaped(solve._raw(_rows(y, n)))
+        # a 1-d right-hand side and its (n, 1) column give the same bits
+        return _shaped(np.linalg.solve(m, (_rows(y, n) - b).T).T)
 
-    # a 1-d right-hand side and its (n, 1) column give the same bits
-    solve._raw, solve.n = lambda a: np.linalg.solve(m, (a - b).T).T, n
+    solve._raw, solve.n = lambda a: _umath_linalg.solve(m, (a - b).T).T, n
     return solve
 
 
@@ -256,7 +261,7 @@ def _vec(row: np.ndarray) -> Vector:
 
 
 def _sup(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+    return float(np.maximum.reduce(np.abs(a), None))
 
 
 def _within(value: float, tol: float, *operands: np.ndarray) -> bool:
@@ -277,9 +282,11 @@ def _checked_preimage(solve, g, g_solve: MapFn, y: np.ndarray) -> np.ndarray:
     x = solve(y)
     gx = g(x)
     residual = _sup(gx - y)
-    if np.isfinite(x).all() and _within(residual, PREIMAGE_TOL, x, y):
+    # x's sum is finite unless x is not, or the sum overflowed: then the exact test decides
+    finite = math.isfinite(np.add.reduce(x, None)) or np.isfinite(x).all()
+    if finite and _within(residual, PREIMAGE_TOL, x, y):
         return x
-    if not np.isfinite(x).all():
+    if not finite:
         g_solve(y)  # only a lowered oracle returns a non-finite row; its checked form raises
         raise UsageError("entries must be finite")
     if not np.isfinite(gx).all():
@@ -367,7 +374,9 @@ def _iterate(
     point. Each step goes to on_step, when given, before its checks, so a
     step that breaks a hypothesis is seen too. One finiteness test per step
     covers y (else EvaluationError), dist and bound (else UsageError),
-    whatever callable made them; the residual test covers x and g(x).
+    whatever callable made them; the residual test covers x and g(x). Each
+    per-step check is one numpy reduction, and only a failed one runs the
+    exact elementwise test, which raises the typed error.
     """
     n = getattr(metric, "n", x0.n)
     if x0.n != n or eps.n != n:
@@ -395,6 +404,7 @@ def _iterate(
         g_raw = _lowered(g, n)
         solve = _lowered(g_solve, n, lambda row: g_solve(_vec(row)).components[None])
     phi_raw = None if phi is None else _lowered(phi, n)
+    k_t = None if cert is None else cert.k.entries.T
     steps = 0
     prev_d: np.ndarray | None = None
     residual: np.ndarray | None = None
@@ -404,10 +414,10 @@ def _iterate(
             d_j = metric_raw(prev_val, y)
             # keep M.T a view: a contiguous copy takes another BLAS path and moves bits
             if j == 0:
-                bound = d_j if cert is None else d_j @ cert.S.entries.T
+                bound = d_j if cert is None else d_j.dot(cert.S.entries.T)
             else:
-                bound = phi_raw(bound) if cert is None else bound @ cert.k.entries.T
-            if not np.isfinite(y + d_j + bound).all():
+                bound = phi_raw(bound) if cert is None else bound.dot(k_t)
+            if not math.isfinite(np.add.reduce(y + d_j + bound, None)):
                 if not np.isfinite(y).all():
                     raise EvaluationError(_NON_FINITE_MAP)
                 _shaped(np.vstack((d_j, bound)))  # raises unless only the sum overflowed
@@ -416,9 +426,12 @@ def _iterate(
             steps = j + 1
             if phi is not None:
                 if j >= 1:
-                    dominated = _shaped(phi_raw(prev_d))
-                    excess = float(np.max(d_j - dominated))
-                    if not _within(excess, _STEP_SLACK, prev_val, y, dominated):
+                    dominated = phi_raw(prev_d)
+                    over = d_j - dominated
+                    excess = float(np.maximum.reduce(over, None))
+                    # over's sum is finite unless phi's value is not, or the sum overflowed
+                    held = excess <= _STEP_SLACK and math.isfinite(np.add.reduce(over, None))
+                    if not held and not _within(excess, _STEP_SLACK, prev_val, y, _shaped(dominated)):
                         status = SolveStatus.HYPOTHESIS_VIOLATED
                         witness = {
                             "stage": "online-step",
@@ -428,14 +441,15 @@ def _iterate(
                             "comparison_value": _vec(dominated),
                         }
                         break
-                if (d_j == 0.0).all():
+                if not np.logical_or.reduce(d_j, None):
                     # The current point is an exact coincidence point.
                     status = SolveStatus.CONVERGED
                     break
             x_next = y if g is None else _checked_preimage(solve, g_raw, g_solve, y)
             # the step test comes first: it fails on all but the last few steps
-            if (eps - d_j > 0.0).all() and (
-                (cert is not None and (eps - bound > 0.0).all()) or (eps_half - d_j > 0.0).all()
+            if np.minimum.reduce(eps - d_j, None) > 0.0 and (
+                (cert is not None and np.minimum.reduce(eps - bound, None) > 0.0)
+                or np.minimum.reduce(eps_half - d_j, None) > 0.0
             ):
                 gap = metric(f(x_next), x_next if g is None else g(x_next))
                 if (eps - gap > 0.0).all():

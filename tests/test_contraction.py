@@ -20,6 +20,7 @@ from perov import (
     ring_norm,
     spectral_radius,
 )
+import perov.contraction
 
 
 def mat(rows):
@@ -317,3 +318,88 @@ def test_skew_gain_deficit_can_leave_cone():
     assert not phi.deficiency_in_cone
     t = vec(1.0, 10.0)
     assert not OrthantCone(2).contains(t - comparison_apply(phi, t))
+
+
+# -- the tail test against the loop it replaced ---------------------------------
+
+
+def _reference_tail(phi, u, threshold):
+    """The tail loop that kept every row in place and moved the active ones
+    through fancy indexing; _tail must give the same reached and counts."""
+    u = u.copy()
+    reached = np.all(threshold - u > 0.0, axis=1)
+    applications = np.zeros(len(u), dtype=int)
+    active = np.flatnonzero(~reached)
+    for _ in range(perov.contraction._TAIL_BUDGET):
+        if not active.size:
+            break
+        u_next = phi(u[active])
+        applications[active] += 1
+        moving = np.all(np.isfinite(u_next), axis=1) & np.any(u_next != u[active], axis=1)
+        active, u_next = active[moving], u_next[moving]
+        u[active] = u_next
+        below = np.all(threshold[active] - u_next > 0.0, axis=1)
+        reached[active[below]] = True
+        active = active[~below]
+    return reached, applications
+
+
+def _tail_inputs(n, count, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 10.0, (count, n))
+    threshold = rng.uniform(0.01, 1.0, (count, n))
+    threshold[::7] = 20.0  # some rows start below their threshold
+    return u, threshold
+
+
+def _stalls(t):
+    # moves until every component is at 0.3, then stops moving
+    return np.maximum(0.5 * t, 0.3)
+
+
+def _blows_up(t):
+    # rows starting above 5 in their first component leave the finite numbers
+    return np.where(t[:, :1] > 5.0, np.inf, 0.5 * t)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        linear_comparison(mat([[0.5, 0.0], [0.0, 0.5]])),
+        linear_comparison(mat([[0.9, 0.0], [0.0, 0.9]])),
+        linear_comparison(mat([[0.999, 0.0], [0.0, 0.999]])),
+        lambda t: t,
+        _stalls,
+        _blows_up,
+    ],
+    ids=["gain-0.5", "gain-0.9", "gain-0.999", "identity", "stalls", "blows-up"],
+)
+def test_tail_matches_the_reference_loop(phi):
+    u, threshold = _tail_inputs(2, 60, 8)
+    seen = {"new": [], "reference": []}
+
+    def recording(key):
+        def call(t):
+            seen[key].append(t.tobytes())
+            return phi(t)
+
+        return call
+
+    reached, applications = perov.contraction._tail(recording("new"), u.copy(), threshold)
+    expected = _reference_tail(recording("reference"), u, threshold)
+    assert np.array_equal(reached, expected[0])
+    assert np.array_equal(applications, expected[1])
+    # phi saw the same rows, in the same order, in both loops
+    assert seen["new"] == seen["reference"]
+
+
+def test_tail_matches_the_reference_loop_at_its_budget(monkeypatch):
+    monkeypatch.setattr(perov.contraction, "_TAIL_BUDGET", 40)
+    phi = linear_comparison(mat([[0.99, 0.0], [0.0, 0.9]]))
+    u, threshold = _tail_inputs(2, 60, 9)
+    reached, applications = perov.contraction._tail(phi, u.copy(), threshold)
+    expected = _reference_tail(phi, u, threshold)
+    assert np.array_equal(reached, expected[0])
+    assert np.array_equal(applications, expected[1])
+    assert (applications == 40).any() and (applications < 40).any()
+    assert not reached.all()

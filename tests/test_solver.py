@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pathlib
 import tracemalloc
 
@@ -27,7 +28,7 @@ from perov import (
     verify_matrix_lipschitz,
 )
 import perov.solver
-from perov.cli import parse_problem
+from perov.cli import parse_problem, parse_problem_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -155,6 +156,66 @@ def test_affine_preimage_on_a_row_matches_its_vector_answer(n):
         expected = solve(Vector(y)).components.tobytes()
         assert solve(y[None])[0].tobytes() == expected
         assert perov.solver._lowered(solve, n)(y[None])[0].tobytes() == expected
+
+
+MAGNITUDES = [1e-100, 1e-10, 1.0, 1e10, 1e100]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 50])
+def test_row_products_match_matmul_bit_for_bit(n):
+    # the loop's lowered callables use ndarray.dot on transposed views; a
+    # numpy or BLAS build that routes it apart from @ must fail here
+    rng = np.random.default_rng(100 + n)
+    m = rng.uniform(-1.0, 1.0, (n, n))
+    for scale in MAGNITUDES:
+        for count in (1, 7, 300):
+            x = rng.uniform(-1.0, 1.0, (count, n)) * scale
+            assert x.dot(m.T).tobytes() == (x @ m.T).tobytes()
+            assert x[0].dot(m.T).tobytes() == (x[0] @ m.T).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 50])
+def test_preimage_gesv_matches_np_linalg_solve_bit_for_bit(n):
+    # the lowered oracle calls the gufunc np.linalg.solve wraps, unchecked
+    rng = np.random.default_rng(200 + n)
+    for scale in MAGNITUDES:
+        m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.5, 2.0) * np.eye(n)
+        b = rng.uniform(-1.0, 1.0, n) * scale
+        solve = affine_preimage(MapSpec.affine(SquareMatrix(m), Vector(b)))
+        lowered = perov.solver._lowered(solve, n)
+        for count in (1, 7, 300):
+            y = rng.uniform(-1.0, 1.0, (count, n)) * scale
+            expected = np.linalg.solve(m, (y - b).T).T
+            assert lowered(y).tobytes() == expected.tobytes()
+            assert lowered(y).tobytes() == solve(y).tobytes()
+            assert lowered(y[:1])[0].tobytes() == np.linalg.solve(m, y[0] - b).tobytes()
+
+
+def test_lowered_callables_match_their_public_calls():
+    rng = np.random.default_rng(5)
+    n = 6
+    m, l = rng.uniform(-1.0, 1.0, (2, n, n))
+    b, d = rng.uniform(-1.0, 1.0, (2, n))
+    tags = ("identity", "sin", "cos", "tanh", "atan", "sin")
+    callables = [
+        MapSpec.affine(SquareMatrix(m), Vector(b)),
+        MapSpec.componentwise(SquareMatrix(m), Vector(b), SquareMatrix(l), Vector(d), tags),
+        affine_preimage(MapSpec.affine(SquareMatrix(m + 3.0 * np.eye(n)), Vector(b))),
+        linear_comparison(SquareMatrix.diagonal(np.full(n, 0.9))),
+    ]
+    for scale in MAGNITUDES:
+        row = rng.uniform(0.0, 1.0, (1, n)) * scale
+        for c in callables:
+            lowered = perov.solver._lowered(c, n)
+            assert lowered(row).tobytes() == c(row).tobytes()
+            assert lowered(row)[0].tobytes() == c(Vector(row[0])).components.tobytes()
+        metric = WeightedMatrixMetric(SquareMatrix(rng.uniform(0.1, 1.0, (n, n))))
+        other = rng.uniform(-1.0, 1.0, (1, n)) * scale
+        lowered = perov.solver._lowered(metric, n)
+        assert lowered(row, other).tobytes() == metric(row, other).tobytes()
+        assert lowered(row, other)[0].tobytes() == metric(
+            Vector(row[0]), Vector(other[0])
+        ).components.tobytes()
 
 
 def test_affine_preimage_rejects_singular():
@@ -800,6 +861,43 @@ def test_preimage_tolerance_scales_with_offsets():
     )
     assert res.trace.status is SolveStatus.CONVERGED
     assert abs(res.point.components[0] + 1432099.6 / 1.4) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "g_b, budget, steps, digest",
+    [
+        ("0", 100_000, 61, "6f020318a20fe9c7dfc3ebb019a9e0e68182e5e5846165c182dac6ba6b1c9fae"),
+        # the preimage residual passes only relative to the offset, at every step
+        ("1000000.3", 500, 500, "d1cd37a8ed781a0276f64051221027e922a7dfe362697991aabd820d537b4ac3"),
+    ],
+)
+def test_plain_preimage_oracle_runs_once_per_step(g_b, budget, steps, digest):
+    text = (ROOT / "problems" / "jungck-thirds.prob").read_text()
+    pf = parse_problem_text(text.replace("g.b = 0", f"g.b = {g_b}"))
+    metric, cert = WeightedMatrixMetric(pf.weight), certify_contraction(pf.k, 1e-9)
+    solve = affine_preimage(pf.g)
+    calls = []
+
+    def oracle(y):
+        calls.append(y)
+        return solve(y)
+
+    streams = []
+    for g_solve in (oracle, solve):
+        stream = []
+
+        def on_step(j, y, dist, bound):
+            stream.append(np.int64(j).tobytes() + y.tobytes() + dist.tobytes() + bound.tobytes())
+
+        res = jungck_solve(pf.f, pf.g, g_solve, metric, cert, pf.x0, pf.eps, budget, on_step=on_step)
+        assert res.trace.iterations == steps
+        stream += [v.components.tobytes() for v in (res.point, res.value, res.residual)]
+        streams.append(b"".join(stream))
+    assert len(calls) == steps
+    # the plain oracle and the lowered one give the steps and the result of the
+    # implementation this digest was taken from, bit for bit
+    assert streams[0] == streams[1]
+    assert hashlib.sha256(streams[0]).hexdigest() == digest
 
 
 def test_online_step_slack_scales_with_offsets():
