@@ -3,7 +3,7 @@
 The package works over R^n ordered by the nonnegative orthant. Distances
 are vector valued: d(x, y) = W |x - y| for a strictly positive weight
 matrix W. On top of that sit contraction certificates for nonnegative
-matrices (one linear solve for (I - k)^-1, its sign and residual, and a
+matrices (one linear solve for (I - k)^-1 and its residual, and a
 Collatz-Wielandt upper bound on the spectral radius),
 successive-approximation solvers with componentwise a-priori error
 bounds, coincidence-point iteration for pairs of maps, and

@@ -12,8 +12,8 @@ class NotCertifiedError(Exception):
 
     Carries the spectral radius estimate so callers can report how far the
     matrix is from being certifiable; the message names the check that
-    failed (a singular 1 - k, a residual over the cap, a negative entry of
-    (1 - k)^-1, or a spectral radius bound not below 1 - tol).
+    failed (a singular 1 - k, a residual over the cap, or a spectral radius
+    bound not below 1 - tol).
     """
 
     def __init__(self, estimate: float, message: str):

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_spectral_radius_matches_2x2_oracle(seed):
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_rho_bound_dominates_spectral_radius(seed, positive):
     # the Collatz-Wielandt bound is an upper bound on every nonnegative
-    # matrix and, on positive ones, tight
+    # matrix and tight on positive and sparse (often reducible) ones alike
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.01, 1.0, (3, 3))
     if not positive:
@@ -104,8 +105,7 @@ def test_rho_bound_dominates_spectral_radius(seed, positive):
     cert = certify_contraction(a, 1e-9)
     rho = spectral_radius(a, 1e-10)
     assert cert.rho_bound >= rho - 1e-12
-    if positive:
-        assert cert.rho_bound - rho <= 1e-8
+    assert cert.rho_bound - rho <= 1e-8
 
 
 def test_rho_bound_frozen():
@@ -141,7 +141,7 @@ def test_neumann_matches_inverse_oracle():
 
 
 def test_neumann_diverges_on_expansion():
-    with pytest.raises(NotCertifiedError, match="negative entry"):
+    with pytest.raises(NotCertifiedError, match="Collatz-Wielandt bound"):
         certify_contraction(mat([[2.0]]), 1e-12)
 
 
@@ -158,10 +158,50 @@ def test_certificate_frozen_example():
     assert abs(cert.rho - 0.5) < 1e-8
     assert np.allclose(cert.S.entries, [[2.0, 1.0], [0.0, 2.0]], atol=1e-9)
     assert cert.residual <= CERT_RESIDUAL_MAX
-    # the shifted solves sharpen the bound on a defective matrix but stop
-    # above the radius
+    # S 1 leaves the bound of this defective matrix above the radius, so
+    # the shifted solve is taken
     assert cert.series_terms > 1
     assert 0.5 <= cert.rho_bound < 1.0 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        [[0.5, 0.25], [0.0, 0.5]],
+        [[0.0, 1.0], [0.0, 0.0]],
+        [[0.9999, 0.5], [0.0, 0.9999]],
+    ],
+    ids=["jordan-0.5", "nilpotent", "jordan-0.9999"],
+)
+def test_defective_bound_is_tight(k):
+    # a defective k leaves the bound of S 1 well above the radius; one
+    # shifted solve brings it to within the shift
+    radius = eig_radius(np.array(k))
+    cert = certify_contraction(mat(k), 1e-9)
+    assert radius - 1e-12 <= cert.rho_bound <= radius + 1e-9 * max(1.0, radius)
+    assert cert.series_terms <= 2
+
+
+def test_certify_just_below_one_minus_tol():
+    # the shift stops at the midpoint of rho and 1 - tol, so a radius
+    # 3e-13 under 1 - tol still certifies although the full shift is 1e-12
+    rng = np.random.default_rng(23)
+    tol = 1e-3
+    for _ in range(50):
+        cert = certify_contraction(SquareMatrix(positive_at(rng, 3, 1.0 - tol - 3e-13)), tol)
+        assert cert.rho_bound < 1.0 - tol
+
+
+@pytest.mark.parametrize("n", [27, 28, 30])
+def test_large_jordan_block_certifies_without_warning(n):
+    # the shifted vector of a large Jordan block overflows (to inf at
+    # n = 27 and 28, to nan at 30); the bound of S 1 stands, and no
+    # floating-point warning escapes
+    k = SquareMatrix(0.5 * np.eye(n) + 0.5 * np.eye(n, k=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify_contraction(k, 1e-9)
+    assert 0.5 <= cert.rho_bound < 0.99
 
 
 def test_certify_refuses_identity():
