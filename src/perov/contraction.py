@@ -48,13 +48,8 @@ _COMPARISON_SLACK = 1e-14
 _TAIL_BUDGET = 10_000
 _TAIL_WITNESSES = 10
 
-# Relative shift above the eigenvalue estimate for the one shifted
-# Collatz-Wielandt solve.
+# Relative shift above the eigenvalue estimate for the shifted solve.
 _SHIFT = 1e-12
-
-
-def _row_sum_norm(m: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
 def _require_nonnegative(a: SquareMatrix, what: str) -> None:
@@ -81,7 +76,7 @@ class ContractionCertificate:
 
     Holds the spectral radius estimate rho, the certified upper bound
     rho_bound on it, S = (1 - k)^-1, the number of Collatz-Wielandt vectors
-    tried (1 or 2), and the verification residual ring_norm((1 - k) S - 1),
+    tried (1 to 3), and the verification residual ring_norm((1 - k) S - 1),
     which must not exceed CERT_RESIDUAL_MAX.
     """
 
@@ -109,21 +104,31 @@ class ContractionCertificate:
 
 
 def _collatz_wielandt(m: np.ndarray, x: np.ndarray) -> float:
-    """max_i (m x)_i / x_i: an upper bound on rho(m) for positive x, else inf."""
-    if not np.all(x > 0.0):
+    """max_i (m x)_i / x_i: an upper bound on rho(m) for positive finite x, else inf."""
+    if not np.all((x > 0.0) & (x < math.inf)):
         return math.inf
     return float(np.max(m @ x / x))
+
+
+def _shifted_bound(k: np.ndarray, eye: np.ndarray, b: float) -> float:
+    """The Collatz-Wielandt bound of (b - k)^-1 1, inf where the solve fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _collatz_wielandt(k, np.linalg.solve(b * eye - k, np.ones(len(k))))
+        except np.linalg.LinAlgError:
+            return math.inf
 
 
 def certify_contraction(a: SquareMatrix, tol: float) -> ContractionCertificate:
     """Certify a nonnegative matrix as a usable contraction coefficient.
 
     Solves for S = (1 - k)^-1 and requires a residual within
-    CERT_RESIDUAL_MAX. The Collatz-Wielandt bound of x = S 1 is then
-    replaced by that of one shifted solve x = (b - k)^-1 1, b just above
-    the eigenvalue estimate, when that is smaller; the matrix is certified
-    when the bound is below 1 - tol. Raises NotCertifiedError, carrying the
-    spectral radius estimate and naming the failed check, otherwise.
+    CERT_RESIDUAL_MAX. The Collatz-Wielandt bound of x = S 1 is replaced
+    by that of x = (b - k)^-1 1, b just above the eigenvalue estimate or
+    else the midpoint of the estimate and 1 - tol, when smaller; the
+    matrix is certified when the bound is below 1 - tol. Raises
+    NotCertifiedError, carrying the spectral radius estimate and naming
+    the failed check, otherwise.
     """
     _require_nonnegative(a, "matrix")
     if not tol > 0.0:
@@ -135,7 +140,7 @@ def certify_contraction(a: SquareMatrix, tol: float) -> ContractionCertificate:
         s = np.linalg.solve(eye - k, eye)
     except np.linalg.LinAlgError:
         raise NotCertifiedError(rho, "not certified: 1 - k is singular") from None
-    residual = _row_sum_norm((eye - k) @ s - eye)
+    residual = float(np.max(np.sum(np.abs((eye - k) @ s - eye), axis=1)))
     if not residual <= CERT_RESIDUAL_MAX:
         raise NotCertifiedError(
             rho,
@@ -145,20 +150,17 @@ def certify_contraction(a: SquareMatrix, tol: float) -> ContractionCertificate:
     bound = _collatz_wielandt(k, s.sum(axis=1))
     terms = 1
     # For b > rho(k), x = (b - k)^-1 1 is positive and k x = b x - 1 < b x,
-    # so one shifted solve bounds the radius by about b. The shift is at most
-    # half the gap between rho and 1 - tol, so a radius just under 1 - tol
-    # still certifies; an x that overflows or is not positive leaves the
-    # bound of S 1 in place.
-    b = rho + min(_SHIFT * max(1.0, rho), abs(1.0 - tol - rho) / 2.0)
+    # so one shifted solve bounds the radius by about b; b is at most the
+    # midpoint of rho and 1 - tol. Where x overflows (a large Jordan block)
+    # or the solve fails (a nilpotent k) and its bound misses 1 - tol, one
+    # more solve at that midpoint bounds the radius by about the midpoint.
+    gap = 1.0 - tol - rho
+    b = rho + min(_SHIFT * max(1.0, rho), abs(gap) / 2.0)
     if b < bound:
-        terms = 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                shifted = _collatz_wielandt(k, np.linalg.solve(b * eye - k, np.ones(a.n)))
-            except np.linalg.LinAlgError:
-                shifted = math.inf
-        if shifted < bound:
-            bound = shifted
+        shifted, terms = _shifted_bound(k, eye, b), 2
+        if not shifted < 1.0 - tol and b < rho + gap / 2.0:
+            shifted, terms = min(shifted, _shifted_bound(k, eye, rho + gap / 2.0)), 3
+        bound = min(bound, shifted)
     if not bound < 1.0 - tol:
         raise NotCertifiedError(
             rho,

@@ -192,16 +192,89 @@ def test_certify_just_below_one_minus_tol():
         assert cert.rho_bound < 1.0 - tol
 
 
-@pytest.mark.parametrize("n", [27, 28, 30])
-def test_large_jordan_block_certifies_without_warning(n):
-    # the shifted vector of a large Jordan block overflows (to inf at
-    # n = 27 and 28, to nan at 30); the bound of S 1 stands, and no
+def jordan_blocks(*blocks):
+    # the block diagonal of Jordan blocks lam I + c N, one (size, lam, c) each
+    n = sum(m for m, _, _ in blocks)
+    k = np.zeros((n, n))
+    start = 0
+    for m, lam, c in blocks:
+        k[start : start + m, start : start + m] = lam * np.eye(m) + c * np.eye(m, k=1)
+        start += m
+    return k
+
+
+def nilpotent_sparse_9():
+    # a nilpotent sparse k whose eigenvalue estimate is exactly 0: the solve
+    # at b = 1e-12 rounds entries of the shifted vector negative
+    k = np.zeros((9, 9))
+    for i, j, v in [
+        (0, 6, 0.9865304242958116),
+        (2, 3, 0.30108461589255764),
+        (2, 4, 0.9348875759513346),
+        (4, 5, 0.414180522839774),
+        (4, 6, 0.5959263443320789),
+        (5, 0, 0.10705717638444845),
+        (7, 1, 0.4763254584260045),
+        (7, 5, 0.14816967990262797),
+        (7, 6, 0.18581335068235139),
+        (8, 2, 0.8709079470748049),
+    ]:
+        k[i, j] = v
+    return k
+
+
+@pytest.mark.parametrize(
+    "k, tol",
+    [
+        *((jordan_blocks((n, 0.5, 0.5)), 1e-9) for n in (27, 28, 30)),
+        (
+            jordan_blocks(
+                (32, 0.4149497469218814, 0.9028183581226521),
+                (1, 0.2976334385975298, 0.0),
+            ),
+            1e-3,
+        ),
+        (
+            jordan_blocks(
+                (28, 0.6838647687977526, 0.4073560560255158),
+                (3, 0.39212102273261895, 0.21590387025308735),
+                (1, 0.4638429393313667, 0.0),
+                (1, 0.41977001079668697, 0.0),
+            ),
+            1e-3,
+        ),
+        (
+            jordan_blocks(
+                (29, 0.4646968794412597, 0.5760961014632324),
+                (9, 0.32274889819408864, 0.44400504668393986),
+                (1, 0.27388750036161646, 0.0),
+            ),
+            1e-3,
+        ),
+        (nilpotent_sparse_9(), 1e-3),
+    ],
+    ids=[
+        "jordan-27",
+        "jordan-28",
+        "jordan-30",
+        "blocks-32",
+        "blocks-28",
+        "blocks-29",
+        "nilpotent-sparse-9",
+    ],
+)
+def test_overflowing_shift_certifies_at_midpoint(k, tol):
+    # the shifted vector of a large Jordan block overflows (for 0.5 I + 0.5 N
+    # to inf at n = 27 and 28, to nan at 30), and the solve fails on the
+    # nilpotent k; the bound of S 1 alone would refuse blocks-32 and
+    # blocks-28 at tol = 1e-3 and blocks-29 at 1e-2. The solve at the
+    # midpoint of rho and 1 - tol bounds each by about that midpoint, and no
     # floating-point warning escapes
-    k = SquareMatrix(0.5 * np.eye(n) + 0.5 * np.eye(n, k=1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert = certify_contraction(k, 1e-9)
-    assert 0.5 <= cert.rho_bound < 0.99
+        cert = certify_contraction(SquareMatrix(k), tol)
+    assert cert.series_terms == 3
+    assert eig_radius(k) - 1e-12 <= cert.rho_bound <= (cert.rho + 1.0 - tol) / 2.0
 
 
 def test_certify_refuses_identity():
