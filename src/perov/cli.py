@@ -17,7 +17,7 @@ certification, 3 iteration budget exhausted, 64 usage or parse errors.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def _parse_int(ctx: _ParseContext, key: str, minimum: int) -> int:
 
 
 def _parse_map(ctx: _ParseContext, prefix: str, n: int) -> MapSpec | None:
-    keys = {k for k in ctx.values if k == prefix or k.startswith(prefix + ".")}
+    keys = {k for k in ctx.values if k.startswith(prefix + ".")}
     if not keys:
         return None
     kind_key = f"{prefix}.kind"
@@ -295,10 +295,15 @@ def parse_problem(path: str) -> ProblemFile:
     ','; vectors are comma-separated; eps admits a scalar shorthand that
     broadcasts to all components. Maps are grouped keys (`f.kind = affine`,
     `f.M = ...`, `f.b = ...`; componentwise maps add `f.L`, `f.d`,
-    `f.tags`). Unknown and duplicate keys are rejected.
+    `f.tags`). Unknown and duplicate keys are rejected, and so is a file
+    that is not UTF-8 text.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
     return parse_problem_text(text, path)
 
 
@@ -338,25 +343,39 @@ def _need(value, name: str):
 
 
 def _resolve_g(pf: ProblemFile) -> tuple[MapSpec, object]:
-    if pf.g is None:
-        g = identity_map(pf.n)
-        return g, affine_preimage(g)
-    if pf.g_solve is not None:
-        return pf.g, pf.g_solve
-    return pf.g, affine_preimage(pf.g)
+    g = pf.g or identity_map(pf.n)
+    return g, pf.g_solve or affine_preimage(g)
 
 
-def _certify_or_report(matrix: SquareMatrix, tol: float, label: str):
-    print(f"== certificate ({label}) ==")
+class _Refused(Exception):
+    """A failed gate or a refused certificate, whose record is already out; run exits 2."""
+
+
+def _gate(kind: str, report, **extra) -> None:
+    """Write a sampled check's record; raise _Refused when the check failed.
+
+    The record holds samples=, the length of each violation list keyed by its
+    prefix (d1_violations as d1=, violations as violations=), extra, verdict=.
+    """
+    names = [f.name for f in fields(report) if f.name.endswith("violations")]
+    counts = {name.removesuffix("_violations"): len(getattr(report, name)) for name in names}
+    verdict = "pass" if report.passed else "fail"
+    _rec(kind, samples=report.samples_tested, **counts, **extra, verdict=verdict)
+    if not report.passed:
+        raise _Refused
+
+
+def _certify_or_report(matrix: SquareMatrix, tol: float):
+    print("== certificate (k) ==")
     try:
         cert = certify_contraction(matrix, tol)
     except NotCertifiedError as exc:
         print(exc)
-        _rec("certificate", label=label, status="not_certified", rho=exc.estimate)
-        return None
+        _rec("certificate", label="k", status="not_certified", rho=exc.estimate)
+        raise _Refused from None
     _rec(
         "certificate",
-        label=label,
+        label="k",
         status="certified",
         rho=cert.rho,
         rho_bound=cert.rho_bound,
@@ -366,7 +385,7 @@ def _certify_or_report(matrix: SquareMatrix, tol: float, label: str):
     return cert
 
 
-def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison | None:
+def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison:
     lam = _need(pf.lam, "lambda")
     print("== comparison function ==")
     try:
@@ -374,7 +393,7 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison | Non
     except NotCertifiedError as exc:
         print(f"gain {exc}")
         _rec("comparison", status="not_certified", rho=exc.estimate)
-        return None
+        raise _Refused from None
     _rec(
         "comparison",
         status="certified",
@@ -400,10 +419,10 @@ def _iter_writer(n: int):
     return on_step
 
 
-def _solve(n: int, solver, *args) -> int:
-    """Run solver(*args), streaming its iter records; emit the result, return the exit code."""
+def _solve(pf: ProblemFile, solver, *args) -> int:
+    """solver(*args, x0, eps, budget) with iter records; emit the result, return the exit code."""
     print("== iterations ==")
-    result: SolveResult = solver(*args, on_step=_iter_writer(n))
+    result: SolveResult = solver(*args, pf.x0, pf.eps, pf.budget, on_step=_iter_writer(pf.n))
     status = result.trace.status
     print("== result ==")
     if result.hypothesis_witness is not None and "step" in result.hypothesis_witness:
@@ -420,136 +439,87 @@ def _solve(n: int, solver, *args) -> int:
     return _STATUS_EXIT[status]
 
 
-def _lipschitz_gate(pf: ProblemFile, g: MapSpec, k: SquareMatrix, samples: int) -> bool:
+def _lipschitz_gate(pf: ProblemFile, g: MapSpec, k: SquareMatrix, samples: int) -> None:
     metric = WeightedMatrixMetric(pf.weight)
     sampler = uniform_sampler(pf.n, seed=pf.seed)
     report = verify_matrix_lipschitz(pf.f, g, k, metric, sampler, samples)
     print("== hypothesis check ==")
-    _rec(
-        "lipschitz",
-        samples=report.samples_tested,
-        violations=len(report.violations),
-        verdict="pass" if report.passed else "fail",
-    )
-    return report.passed
+    _gate("lipschitz", report)
+
+
+def _comparison_axioms_gate(pf: ProblemFile, phi, samples: int) -> None:
+    report = check_comparison_axioms(phi, cone_sampler(pf.n, seed=pf.seed), samples)
+    _gate("comparison_axioms", report, tail_checked=report.tail_checked)
+
+
+def _condition_c_gate(pf: ProblemFile, g: MapSpec, phi, samples: int) -> None:
+    metric = WeightedMatrixMetric(pf.weight)
+    sampler = uniform_sampler(pf.n, seed=pf.seed)
+    report = verify_condition_c(pf.f, g, phi, metric, sampler, samples)
+    branches = {f"branch{i}": count for i, count in enumerate(report.branch_counts, 1)}
+    _gate("condition_c", report, **branches)
 
 
 def _cmd_check_metric(pf: ProblemFile, args) -> int:
     metric = WeightedMatrixMetric(pf.weight)
-    sampler = uniform_sampler(pf.n, seed=pf.seed)
-    report = check_metric_axioms(metric, sampler, args.samples)
+    report = check_metric_axioms(metric, uniform_sampler(pf.n, seed=pf.seed), args.samples)
     print("== metric axioms ==")
-    _rec(
-        "metric_axioms",
-        samples=report.samples_tested,
-        d1=len(report.d1_violations),
-        d2=len(report.d2_violations),
-        d3=len(report.d3_violations),
-        verdict="pass" if report.passed else "fail",
-    )
-    return EXIT_OK if report.passed else EXIT_HYPOTHESIS
-
-
-def _comparison_axioms_gate(pf: ProblemFile, phi, samples: int) -> bool:
-    report = check_comparison_axioms(phi, cone_sampler(pf.n, seed=pf.seed), samples)
-    _rec(
-        "comparison_axioms",
-        samples=report.samples_tested,
-        shrink=len(report.shrink_violations),
-        monotone=len(report.monotone_violations),
-        interior=len(report.interior_violations),
-        tail=len(report.tail_violations),
-        tail_checked=report.tail_checked,
-        verdict="pass" if report.passed else "fail",
-    )
-    return report.passed
-
-
-def _condition_c_gate(pf: ProblemFile, g: MapSpec, phi, samples: int) -> bool:
-    metric = WeightedMatrixMetric(pf.weight)
-    sampler = uniform_sampler(pf.n, seed=pf.seed)
-    report = verify_condition_c(pf.f, g, phi, metric, sampler, samples)
-    _rec(
-        "condition_c",
-        samples=report.samples_tested,
-        violations=len(report.violations),
-        branch1=report.branch_counts[0],
-        branch2=report.branch_counts[1],
-        branch3=report.branch_counts[2],
-        verdict="pass" if report.passed else "fail",
-    )
-    return report.passed
+    _gate("metric_axioms", report)
+    return EXIT_OK
 
 
 def _cmd_check_comparison(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
-    if phi is None:
-        return EXIT_HYPOTHESIS
     print("== comparison axioms ==")
-    return EXIT_OK if _comparison_axioms_gate(pf, phi, args.samples) else EXIT_HYPOTHESIS
+    _comparison_axioms_gate(pf, phi, args.samples)
+    return EXIT_OK
 
 
 def _cmd_certify(pf: ProblemFile, args) -> int:
-    k = _need(pf.k, "k")
-    cert = _certify_or_report(k, args.tol, "k")
-    return EXIT_OK if cert is not None else EXIT_HYPOTHESIS
+    _certify_or_report(_need(pf.k, "k"), args.tol)
+    return EXIT_OK
 
 
 def _cmd_verify_lipschitz(pf: ProblemFile, args) -> int:
-    k = _need(pf.k, "k")
-    ok = _lipschitz_gate(pf, pf.g or identity_map(pf.n), k, args.samples)
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    _lipschitz_gate(pf, pf.g or identity_map(pf.n), _need(pf.k, "k"), args.samples)
+    return EXIT_OK
 
 
 def _cmd_verify_condition_c(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
-    if phi is None:
-        return EXIT_HYPOTHESIS
-    g = pf.g or identity_map(pf.n)
     print("== contraction condition ==")
-    return EXIT_OK if _condition_c_gate(pf, g, phi, args.samples) else EXIT_HYPOTHESIS
+    _condition_c_gate(pf, pf.g or identity_map(pf.n), phi, args.samples)
+    return EXIT_OK
 
 
 def _cmd_solve_perov(pf: ProblemFile, args) -> int:
     k = _need(pf.k, "k")
     if pf.g is not None:
         raise UsageError("solve-perov is a self-map solve; use solve-jungck for g")
-    if not _lipschitz_gate(pf, identity_map(pf.n), k, args.samples):
-        return EXIT_HYPOTHESIS
-    cert = _certify_or_report(k, args.tol, "k")
-    if cert is None:
-        return EXIT_HYPOTHESIS
+    _lipschitz_gate(pf, identity_map(pf.n), k, args.samples)
+    cert = _certify_or_report(k, args.tol)
     metric = WeightedMatrixMetric(pf.weight)
-    return _solve(pf.n, perov_solve, pf.f, metric, cert, pf.x0, pf.eps, pf.budget)
+    return _solve(pf, perov_solve, pf.f, metric, cert)
 
 
 def _cmd_solve_jungck(pf: ProblemFile, args) -> int:
     k = _need(pf.k, "k")
     _need(pf.g, "g")
     g, g_solve = _resolve_g(pf)
-    if not _lipschitz_gate(pf, g, k, args.samples):
-        return EXIT_HYPOTHESIS
-    cert = _certify_or_report(k, args.tol, "k")
-    if cert is None:
-        return EXIT_HYPOTHESIS
+    _lipschitz_gate(pf, g, k, args.samples)
+    cert = _certify_or_report(k, args.tol)
     metric = WeightedMatrixMetric(pf.weight)
-    return _solve(pf.n, jungck_solve, pf.f, g, g_solve, metric, cert, pf.x0, pf.eps, pf.budget)
+    return _solve(pf, jungck_solve, pf.f, g, g_solve, metric, cert)
 
 
 def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
-    if phi is None:
-        return EXIT_HYPOTHESIS
     g, g_solve = _resolve_g(pf)
     print("== hypothesis check ==")
-    if not _comparison_axioms_gate(pf, phi, args.samples):
-        return EXIT_HYPOTHESIS
-    if not _condition_c_gate(pf, g, phi, args.samples):
-        return EXIT_HYPOTHESIS
+    _comparison_axioms_gate(pf, phi, args.samples)
+    _condition_c_gate(pf, g, phi, args.samples)
     metric = WeightedMatrixMetric(pf.weight)
-    return _solve(
-        pf.n, comparison_solve, pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget
-    )
+    return _solve(pf, comparison_solve, pf.f, g, g_solve, phi, metric)
 
 
 _HANDLERS = {
@@ -666,6 +636,8 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Refused:
+        code = EXIT_HYPOTHESIS
     except PreimageError as exc:
         print(f"hypothesis breach: {exc}")
         code = EXIT_HYPOTHESIS

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotCertifiedError, UsageError
 from .ordered_algebra import SquareMatrix, Vector, _rows, _shaped
-from .sampling import Sampler, _draw, _witnesses
+from .sampling import Sampler, _draw, _Report, _witnesses
 
 __all__ = [
     "ContractionCertificate",
@@ -130,10 +130,7 @@ def certify_contraction(a: SquareMatrix, tol: float) -> ContractionCertificate:
     NotCertifiedError, carrying the spectral radius estimate and naming
     the failed check, otherwise.
     """
-    _require_nonnegative(a, "matrix")
-    if not tol > 0.0:
-        raise UsageError("tol must be positive")
-    rho = spectral_radius(a, tol)
+    rho = spectral_radius(a, tol)  # checks a >= 0 and tol > 0
     k = a.entries
     eye = np.eye(a.n)
     try:
@@ -220,28 +217,18 @@ def comparison_apply(phi: LinearComparison, t):
 
 
 @dataclass
-class ComparisonAxiomReport:
-    """Outcome of sampling the four comparison-function axioms.
+class ComparisonAxiomReport(_Report):
+    """Outcome of sampling the four comparison-function axioms: a violation list per axiom.
 
     tail_checked counts the samples the iterate test covers, which stops at
     the _TAIL_WITNESSES-th failure.
     """
 
-    samples_tested: int
     shrink_violations: list = field(default_factory=list)
     monotone_violations: list = field(default_factory=list)
     interior_violations: list = field(default_factory=list)
     tail_violations: list = field(default_factory=list)
     tail_checked: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not (
-            self.shrink_violations
-            or self.monotone_violations
-            or self.interior_violations
-            or self.tail_violations
-        )
 
 
 def check_comparison_axioms(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UsageError
 from .ordered_algebra import SquareMatrix, Vector, _rows, _same_dim, _shaped, _slack
-from .sampling import Sampler, _draw, _witnesses
+from .sampling import Sampler, _draw, _Report, _witnesses
 
 __all__ = [
     "WeightedMatrixMetric",
@@ -56,21 +56,16 @@ def metric_eval(m: WeightedMatrixMetric, x, y):
 
 
 @dataclass
-class MetricAxiomReport:
-    """Outcome of a sampling run over the three metric axioms.
+class MetricAxiomReport(_Report):
+    """Outcome of a sampling run over the three metric axioms: a violation list per axiom.
 
     Violation entries carry the witnessing points and the offending distance
     vectors, so failures are reproducible by hand; d1 entries come grouped by test.
     """
 
-    samples_tested: int
     d1_violations: list = field(default_factory=list)
     d2_violations: list = field(default_factory=list)
     d3_violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not (self.d1_violations or self.d2_violations or self.d3_violations)
 
 
 def check_metric_axioms(

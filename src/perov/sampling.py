@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -198,6 +199,17 @@ def _draw(sampler: Sampler, count: int, arity: int) -> tuple[np.ndarray, ...]:
         raise UsageError("sample count must be at least 1")
     block = sampler(count * arity).reshape(count, arity, -1)
     return tuple(block.swapaxes(0, 1).copy())
+
+
+@dataclass
+class _Report:
+    """A sampled check's outcome; it passed when every field named *violations is empty."""
+
+    samples_tested: int
+
+    @property
+    def passed(self) -> bool:
+        return not any(getattr(self, f.name) for f in fields(self) if f.name.endswith("violations"))
 
 
 def _witnesses(mask: np.ndarray, *stacks: np.ndarray) -> list[tuple[Vector, ...]]:

@@ -28,11 +28,11 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contraction import ContractionCertificate, check_comparison_axioms
+from .contraction import ContractionCertificate, _require_nonnegative, check_comparison_axioms
 from .errors import EvaluationError, PreimageError, UsageError
 from .metric import MetricFn
 from .ordered_algebra import SquareMatrix, Vector, _rows, _same_dim, _shaped, _slack
-from .sampling import Sampler, _draw, _witnesses, cone_sampler
+from .sampling import Sampler, _draw, _Report, _witnesses, cone_sampler
 
 __all__ = [
     "MapSpec",
@@ -229,30 +229,23 @@ class SolveResult:
 
 
 @dataclass
-class LipschitzReport:
-    samples_tested: int
-    violations: list = field(default_factory=list)
+class LipschitzReport(_Report):
+    """Sampled check of d(f x, f y) <= k d(g x, g y); violations holds (x, y, lhs, rhs)."""
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+    violations: list = field(default_factory=list)
 
 
 @dataclass
-class ConditionCReport:
+class ConditionCReport(_Report):
     """Sampled check of the three-branch contraction condition.
 
-    branch_counts[i] counts samples whose first satisfied branch was i:
-    0 compares against d(gx, gy), 1 against d(gx, fx), 2 against d(gy, fy).
+    violations holds the pairs that meet no branch. branch_counts[i] counts
+    samples whose first satisfied branch was i: 0 compares against
+    d(gx, gy), 1 against d(gx, fx), 2 against d(gy, fy).
     """
 
-    samples_tested: int
     violations: list = field(default_factory=list)
     branch_counts: list = field(default_factory=lambda: [0, 0, 0])
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def _vec(row: np.ndarray) -> Vector:
@@ -306,8 +299,7 @@ def verify_matrix_lipschitz(
     count: int,
 ) -> LipschitzReport:
     """Sample pairs and test d(f x, f y) <= k d(g x, g y) within _GATE_SLACK."""
-    if np.any(k.entries < 0.0):
-        raise UsageError("coefficient matrix must have nonnegative entries")
+    _require_nonnegative(k, "coefficient matrix")
     x, y = _draw(sampler, count, 2)
     fx, fy, gx, gy = f(x), f(y), g(x), g(y)
     lhs = metric(fx, fy)

@@ -497,6 +497,101 @@ def test_run_solve_comparison_violation(tmp_path, capsys):
     assert "verdict=fail" in out
 
 
+_COUPLED = (ROOT / "problems" / "comparison-2d.prob").read_text().replace(
+    "lambda = 0.5, 0; 0, 0.5", "lambda = 0.5, 0.3; 0.3, 0.5"
+)
+_PLANAR_HEAD = "#REC kind=problem command={} n=2 seed=0 budget=100000 eps=1e-10,1e-10"
+_LINE_HEAD = "#REC kind=problem command={} n=1 seed=0 budget=100000 eps=1e-10"
+_COUPLED_GAIN = (
+    "== comparison function ==",
+    "#REC kind=comparison status=certified rho=0.79999999999999993 deficiency_in_cone=false",
+)
+_COUPLED_FAIL = (
+    "#REC kind=comparison_axioms samples=200 shrink=125 monotone=0 interior=125 "
+    "tail=0 tail_checked=200 verdict=fail"
+)
+_SINGULAR_GAIN = (
+    "== comparison function ==",
+    "gain not certified: 1 - k is singular",
+    "#REC kind=comparison status=not_certified rho=1",
+)
+_EXPANDING_GAIN = (
+    "== comparison function ==",
+    "#REC kind=comparison status=certified rho=0.59999999999999998 deficiency_in_cone=true",
+)
+_CONDITION_C_FAIL = (
+    "#REC kind=condition_c samples=200 violations=174 branch1=0 branch2=20 branch3=6 verdict=fail"
+)
+_SINGULAR_K = (
+    "== certificate (k) ==",
+    "not certified: 1 - k is singular",
+    "#REC kind=certificate label=k status=not_certified rho=1",
+)
+_LIPSCHITZ_FAIL = (
+    "== hypothesis check ==",
+    "#REC kind=lipschitz samples=200 violations=200 verdict=fail",
+)
+_EXPANDING_LAM = MINIMAL.replace("f.M = 0.5", "f.M = 2").replace("k = 0.5", "lambda = 0.6")
+
+
+@pytest.mark.parametrize(
+    "command, text, lines",
+    [
+        ("check-comparison", _COUPLED, [*_COUPLED_GAIN, "== comparison axioms ==", _COUPLED_FAIL]),
+        ("solve-comparison", _COUPLED, [*_COUPLED_GAIN, "== hypothesis check ==", _COUPLED_FAIL]),
+        ("check-comparison", MINIMAL.replace("k = 0.5", "lambda = 1"), _SINGULAR_GAIN),
+        ("solve-comparison", MINIMAL.replace("k = 0.5", "lambda = 1"), _SINGULAR_GAIN),
+        (
+            "solve-comparison",
+            _EXPANDING_LAM,
+            [
+                *_EXPANDING_GAIN,
+                "== hypothesis check ==",
+                "#REC kind=comparison_axioms samples=200 shrink=0 monotone=0 interior=0 "
+                "tail=0 tail_checked=200 verdict=pass",
+                _CONDITION_C_FAIL,
+            ],
+        ),
+        (
+            "verify-condition-c",
+            _EXPANDING_LAM,
+            [*_EXPANDING_GAIN, "== contraction condition ==", _CONDITION_C_FAIL],
+        ),
+        ("certify", MINIMAL.replace("k = 0.5", "k = 1"), _SINGULAR_K),
+        (
+            "solve-jungck",
+            MINIMAL.replace("k = 0.5", "k = 1") + "g.kind = affine\ng.M = 1\ng.b = 0\n",
+            [
+                "== hypothesis check ==",
+                "#REC kind=lipschitz samples=200 violations=0 verdict=pass",
+                *_SINGULAR_K,
+            ],
+        ),
+        ("solve-perov", MINIMAL.replace("f.M = 0.5", "f.M = 2"), _LIPSCHITZ_FAIL),
+        ("verify-lipschitz", MINIMAL.replace("f.M = 0.5", "f.M = 2"), _LIPSCHITZ_FAIL),
+    ],
+)
+def test_refusal_prints_its_record_then_exit_2_and_nothing_more(
+    tmp_path, capsys, command, text, lines
+):
+    path = write(tmp_path, text)
+    code = run([command, path, "--samples", "200"])
+    out, err = capsys.readouterr()
+    head = (_PLANAR_HEAD if text is _COUPLED else _LINE_HEAD).format(command)
+    expected = [f"problem: {path}", head, *lines, "#REC kind=exit code=2"]
+    assert (code, err) == (EXIT_HYPOTHESIS, "")
+    assert out == "".join(line + "\n" for line in expected)
+
+
+def test_non_utf8_problem_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.prob"
+    path.write_bytes(b"n = 1\nW = 1\xff\n")
+    code = run(["certify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"problem file error: {path}: not UTF-8 at byte offset 11: invalid start byte\n"
+
+
 def test_run_rejects_mismatched_solver(tmp_path):
     text = MINIMAL + "g.kind = affine\ng.M = 0.5\ng.b = 0\n"
     assert run(["solve-perov", write(tmp_path, text)]) == EXIT_USAGE
