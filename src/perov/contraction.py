@@ -180,10 +180,10 @@ class LinearComparison:
 
     The gain is nonnegative with a held contraction certificate, so applying
     it to a cone vector stays in the cone. deficiency_in_cone records whether
-    1 - G itself has no negative entry (and is nonzero); only then do all
-    four comparison axioms hold, which for this entrywise order pins the gain
-    down to a diagonal with entries in [0, 1). The axiom checker is the
-    arbiter for everything else.
+    1 - G itself has no negative entry (and is nonzero). All four comparison
+    axioms hold exactly when G is diagonal with entries in [0, 1), for this
+    entrywise order (t = e_j shows the need); perov.exact decides that rule,
+    and check_comparison_axioms samples any other phi.
     """
 
     gain: SquareMatrix

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -203,9 +203,15 @@ def _draw(sampler: Sampler, count: int, arity: int) -> tuple[np.ndarray, ...]:
 
 @dataclass
 class _Report:
-    """A sampled check's outcome; it passed when every field named *violations is empty."""
+    """A hypothesis check's outcome; it passed when every field named *violations is empty.
+
+    method is "sampled", or a rule of perov.exact, "exact" or "sufficient",
+    whose gap is its smallest entry of right side minus left side.
+    """
 
     samples_tested: int
+    method: str = field(default="sampled", kw_only=True)
+    gap: float | None = field(default=None, kw_only=True)
 
     @property
     def passed(self) -> bool:

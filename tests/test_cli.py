@@ -2,13 +2,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perov import UsageError, Vector
+import perov.cli
+from perov import UsageError, Vector, WeightedMatrixMetric, uniform_sampler, verify_matrix_lipschitz
 from perov.cli import (
     EXIT_BUDGET,
     EXIT_HYPOTHESIS,
@@ -23,6 +25,8 @@ from perov.cli import (
     parse_problem_text,
     run,
 )
+
+from test_acceptance import SHIPPED
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -301,14 +305,21 @@ def test_run_lipschitz_violation_exits_2(tmp_path, capsys):
 
 
 def test_run_lipschitz_slack_scales_with_offsets(tmp_path, capsys):
-    # f = x/3 against g = x/2 + 1000000.3 holds with equality at k = 2/3;
-    # an absolute 1e-12 slack is below the rounding of values near 1e6
+    # f = x/3 against g = x/2 + 1000000.3 holds with equality at k = 2/3. The
+    # closed-form gate finds the tie exactly, whatever the offset; the sampled
+    # verifier, which other inputs fall back to, passes it too, because an
+    # absolute 1e-12 slack would be below the rounding of values near 1e6
     text = (ROOT / "problems" / "jungck-thirds.prob").read_text()
     text = text.replace("g.b = 0", "g.b = 1000000.3")
-    code = run(["verify-lipschitz", write(tmp_path, text)])
+    path = write(tmp_path, text)
+    code = run(["verify-lipschitz", path])
     out = capsys.readouterr().out
-    assert "#REC kind=lipschitz samples=1000 violations=0 verdict=pass" in out
+    assert "#REC kind=lipschitz samples=0 violations=0 method=exact gap=0 verdict=pass" in out
     assert code == EXIT_OK
+    pf = parse_problem(path)
+    metric = WeightedMatrixMetric(pf.weight)
+    report = verify_matrix_lipschitz(pf.f, pf.g, pf.k, metric, uniform_sampler(1, seed=0), 1000)
+    assert (report.passed, report.method, report.gap) == (True, "sampled", None)
 
 
 SINGULAR_G = """\
@@ -321,6 +332,23 @@ g.kind = affine
 g.M = 1, 1; 1, 1
 g.b = 0, 0
 k = 0.5, 0; 0, 0.5
+x0 = 0, 0
+eps = 1e-10
+"""
+
+
+# f g^-1 = 0.25 [[1, 0.5], [1, 0.5]]: the hypothesis holds, but no closed-form
+# rule covers a non-diagonal g, so its gates sample
+NON_DIAGONAL_G = """\
+n = 2
+W = 1, 0.1; 0.1, 1
+f.kind = affine
+f.M = 0.25, 0.25; 0.25, 0.25
+f.b = 0, 0
+g.kind = affine
+g.M = 1, 0.5; 0, 1
+g.b = 0, 0
+k = 0.3, 0.3; 0.3, 0.3
 x0 = 0, 0
 eps = 1e-10
 """
@@ -421,20 +449,21 @@ def test_help_lists_every_command_and_exits_0(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check-metric", "PATH", "--samples=150", "--tol", "1e-6"],
-        ["check-metric", "--samples", "150", "PATH", "--tol=1e-6"],
-        ["check-metric", "--tol", "1e-6", "--samples=150", "PATH"],
-        ["--samples=7", "check-metric", "--tol", "0.5", "PATH", "--samples", "150", "--tol=1e-6"],
+        ["verify-lipschitz", "PATH", "--samples=150", "--tol", "1e-6"],
+        ["verify-lipschitz", "--samples", "150", "PATH", "--tol=1e-6"],
+        ["verify-lipschitz", "--tol", "1e-6", "--samples=150", "PATH"],
+        ["--samples=7", "verify-lipschitz", "--tol", "0.5", "PATH", "--samples", "150", "--tol=1e-6"],
     ],
 )
 def test_options_parse_in_either_form_and_position(tmp_path, capsys, argv):
-    # the last occurrence of a repeated option wins
-    path = write(tmp_path, PLANAR)
+    # the last occurrence of a repeated option wins; a non-diagonal g has no
+    # closed-form rule, so the gate samples and shows the count
+    path = write(tmp_path, NON_DIAGONAL_G)
     argv = [path if a == "PATH" else a for a in argv]
     args = _scan(argv)
-    assert (args.command, args.problem, args.samples, args.tol) == ("check-metric", path, 150, 1e-6)
+    assert (args.command, args.problem, args.samples, args.tol) == ("verify-lipschitz", path, 150, 1e-6)
     assert run(argv) == EXIT_OK
-    assert "kind=metric_axioms samples=150 " in capsys.readouterr().out
+    assert "kind=lipschitz samples=150 violations=0 method=sampled gap=na " in capsys.readouterr().out
 
 
 def test_defaults_when_no_options_are_given():
@@ -445,14 +474,11 @@ def test_defaults_when_no_options_are_given():
 def test_sampled_commands_leave_numpy_random_and_argparse_unimported():
     # numpy.random (~15 ms to import) is not needed, since the samplers
     # reproduce its stream, and argparse's first gettext call imports locale
-    # (~2.5 ms per run); only a fresh interpreter shows either
-    unwanted = ("numpy.random", "argparse", "gettext", "locale")
-    cases = [
-        ("check-metric", "comparison-2d", 0),
-        ("verify-lipschitz", "broken-lipschitz", 2),
-        ("solve-perov", "linear44", 0),
-        ("solve-comparison", "comparison-2d", 0),
-    ]
+    # (~2.5 ms per run); the closed-form gates compute on Python ints, not
+    # fractions or decimal (~2 ms to import); only a fresh interpreter shows it
+    unwanted = ("numpy.random", "argparse", "gettext", "locale", "fractions", "decimal")
+    cases = [(command, pathlib.Path(rel).stem, code) for rel, command, code in SHIPPED]
+    cases.append(("check-metric", "comparison-2d", 0))
     script = (
         "import contextlib, io, sys\n"
         "from perov.cli import run\n"
@@ -472,11 +498,76 @@ def test_sampled_commands_leave_numpy_random_and_argparse_unimported():
 
 
 def test_run_check_metric(tmp_path, capsys):
+    # W > 0 decides the metric axioms, so --samples sizes nothing here
     code = run(["check-metric", write(tmp_path, PLANAR), "--samples", "200"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "kind=metric_axioms" in out
-    assert "samples=200" in out
+    assert "#REC kind=metric_axioms samples=0 d1=0 d2=0 d3=0 method=exact gap=0.10000000000000001 " in out
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    plain = ROOT / "problems" / "linear44.prob"
+    marked = tmp_path / "bom.prob"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    records = []
+    for path in (plain, marked):
+        assert run(["solve-perov", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        records.append([line for line in out.splitlines() if line.startswith("#REC ")])
+    assert records[0] == records[1]
+
+
+def test_shipped_gates_are_decided_without_a_sampler(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shipped gate built a sampler")
+
+    monkeypatch.setattr(perov.cli, "uniform_sampler", refuse)
+    assert not hasattr(perov.cli, "cone_sampler")
+    for rel, command, code in SHIPPED:
+        assert run([command, str(ROOT / rel)]) == code
+        gates = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[1] in {f"kind={k}" for k in ("lipschitz", "comparison_axioms", "condition_c")}
+        ]
+        assert all(" samples=0 " in line for line in gates), rel
+        assert all(" method=exact " in line or " method=sufficient " in line for line in gates), rel
+
+
+_DIAGONAL_LINE = MINIMAL.replace("k = 0.5", "lambda = 0.9999")
+_COUPLED_SMALL = _DIAGONAL_LINE.replace("n = 1", "n = 2").replace("W = 1", "W = 1, 1; 1, 1").replace(
+    "f.M = 0.5", "f.M = 0.5, 0; 0, 0.5"
+).replace("f.b = 1", "f.b = 1, 1").replace("lambda = 0.9999", "lambda = 0.5, 1e-3; 0, 0.5").replace(
+    "x0 = 0", "x0 = 0, 0"
+)
+
+
+def test_check_comparison_refutes_a_small_coupling(tmp_path, capsys):
+    # phi(t) = G t shrinks e_2 only if G's second column is zero off the
+    # diagonal: G e_2 = (1e-3, 0.5) is not below e_2 = (0, 1)
+    code = run(["check-comparison", write(tmp_path, _COUPLED_SMALL)])
+    out = capsys.readouterr().out
+    assert code == EXIT_HYPOTHESIS
+    assert (
+        "#REC kind=comparison_axioms samples=0 shrink=1 monotone=0 interior=0 tail=0 "
+        "tail_checked=0 method=exact gap=-0.001 verdict=fail" in out
+    )
+
+
+def test_check_comparison_passes_a_slow_diagonal_gain_quickly(tmp_path, capsys):
+    # the sampled tail test refuted lambda = 0.9999 after ~0.5 s, since some
+    # samples need more than its 10^4 applications of phi
+    path = write(tmp_path, _DIAGONAL_LINE)
+    start = time.perf_counter()
+    code = run(["check-comparison", path])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert elapsed < 0.1
+    assert (
+        "#REC kind=comparison_axioms samples=0 shrink=0 monotone=0 interior=0 tail=0 "
+        "tail_checked=0 method=exact gap=9.9999999999988987e-05 verdict=pass" in out
+    )
 
 
 def test_run_check_comparison(tmp_path, capsys):
@@ -507,8 +598,8 @@ _COUPLED_GAIN = (
     "#REC kind=comparison status=certified rho=0.79999999999999993 deficiency_in_cone=false",
 )
 _COUPLED_FAIL = (
-    "#REC kind=comparison_axioms samples=200 shrink=125 monotone=0 interior=125 "
-    "tail=0 tail_checked=200 verdict=fail"
+    "#REC kind=comparison_axioms samples=0 shrink=2 monotone=0 interior=0 "
+    "tail=0 tail_checked=0 method=exact gap=-0.29999999999999999 verdict=fail"
 )
 _SINGULAR_GAIN = (
     "== comparison function ==",
@@ -519,8 +610,10 @@ _EXPANDING_GAIN = (
     "== comparison function ==",
     "#REC kind=comparison status=certified rho=0.59999999999999998 deficiency_in_cone=true",
 )
+# the sufficient test fails, so condition C is sampled
 _CONDITION_C_FAIL = (
-    "#REC kind=condition_c samples=200 violations=174 branch1=0 branch2=20 branch3=6 verdict=fail"
+    "#REC kind=condition_c samples=200 violations=174 branch1=0 branch2=20 branch3=6 "
+    "method=sampled gap=na verdict=fail"
 )
 _SINGULAR_K = (
     "== certificate (k) ==",
@@ -529,7 +622,7 @@ _SINGULAR_K = (
 )
 _LIPSCHITZ_FAIL = (
     "== hypothesis check ==",
-    "#REC kind=lipschitz samples=200 violations=200 verdict=fail",
+    "#REC kind=lipschitz samples=0 violations=1 method=exact gap=-1.5 verdict=fail",
 )
 _EXPANDING_LAM = MINIMAL.replace("f.M = 0.5", "f.M = 2").replace("k = 0.5", "lambda = 0.6")
 
@@ -547,8 +640,8 @@ _EXPANDING_LAM = MINIMAL.replace("f.M = 0.5", "f.M = 2").replace("k = 0.5", "lam
             [
                 *_EXPANDING_GAIN,
                 "== hypothesis check ==",
-                "#REC kind=comparison_axioms samples=200 shrink=0 monotone=0 interior=0 "
-                "tail=0 tail_checked=200 verdict=pass",
+                "#REC kind=comparison_axioms samples=0 shrink=0 monotone=0 interior=0 "
+                "tail=0 tail_checked=0 method=exact gap=0.40000000000000002 verdict=pass",
                 _CONDITION_C_FAIL,
             ],
         ),
@@ -563,7 +656,7 @@ _EXPANDING_LAM = MINIMAL.replace("f.M = 0.5", "f.M = 2").replace("k = 0.5", "lam
             MINIMAL.replace("k = 0.5", "k = 1") + "g.kind = affine\ng.M = 1\ng.b = 0\n",
             [
                 "== hypothesis check ==",
-                "#REC kind=lipschitz samples=200 violations=0 verdict=pass",
+                "#REC kind=lipschitz samples=0 violations=0 method=exact gap=0.5 verdict=pass",
                 *_SINGULAR_K,
             ],
         ),
