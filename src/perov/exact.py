@@ -9,18 +9,14 @@ f, since the pair (e_j, 0) needs column j, and sufficient otherwise; with
 the gain for k it proves condition C's first branch. None means the rule
 does not apply or a sufficient test failed, and the caller samples.
 
-Float products of three nonnegative matrices are within gamma_{2n} of the
-exact ones, entry by entry, when nothing underflows or overflows (Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 3). Entries inside
-four times that margin, those that may hold the smallest difference, and
-all entries when an input has a nonzero outside [2^-300, 2^300] are
-computed exactly on Python ints: every double is an integer times 2^e.
+Both sides are computed exactly, on Python ints: every double is an
+integer times a power of two, so each matrix is an integer matrix (numpy
+object array) over one power of two, and ties are decided exactly.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
 
 import numpy as np
 
@@ -32,65 +28,40 @@ from .solver import ConditionCReport, LipschitzReport, MapSpec
 
 __all__ = ["lipschitz", "condition_c", "comparison_axioms", "metric_axioms"]
 
-# nonzero inputs within these keep products of three, and their sums, normal and finite
-_LOW, _HIGH = 2.0**-300, 2.0**300
 
-
-def _dyadic(a: np.ndarray) -> tuple[list[int], int]:
-    """a's entries, flattened, as integers over one power of two: a = ints / 2**s exactly."""
+def _dyadic(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a's entries as integers over one power of two: a = ints / 2**s exactly."""
     ratios = [x.as_integer_ratio() for x in a.ravel().tolist()]
     s = max((q for _, q in ratios), default=1).bit_length() - 1
-    return [p << s >> (q.bit_length() - 1) for p, q in ratios], s
-
-
-def _exact(a: np.ndarray, b: np.ndarray, c: np.ndarray, pairs) -> list[tuple[int, int]]:
-    """Entries (i, j) of a b c, exactly, as (numerator, log2 denominator).
-
-    Each row i of a and column j of b c is made once. Column j of b c takes
-    only the columns of b that column j of c needs, so a diagonal c (the
-    identity, or |D|) never converts all of b.
-    """
-    rows = {i: _dyadic(a[i]) for i in {i for i, _ in pairs}}
-    cols = {}
-    for j in {j for _, j in pairs}:
-        used = np.flatnonzero(c[:, j])
-        (bs, s), (cs, t), k = _dyadic(b[:, used]), _dyadic(c[used, j]), len(used)
-        cols[j] = [sum(map(mul, bs[r * k : r * k + k], cs)) for r in range(len(b))], s + t
-    return [(sum(map(mul, rows[i][0], cols[j][0])), rows[i][1] + cols[j][1]) for i, j in pairs]
+    ints = [p << s >> (q.bit_length() - 1) for p, q in ratios]
+    return np.array(ints, dtype=object).reshape(a.shape), s
 
 
 def _decide(f: MapSpec, g: MapSpec, gain: SquareMatrix, weight: SquareMatrix):
     """Decide W |M| (|L|) <= gain W |D| entrywise, or None without a rule.
 
-    Returns the mask of columns with a failing entry, the nearest double of
-    the smallest entry of right - left, and both sides in floats.
+    Returns the mask of columns with a failing entry and the nearest double
+    of the smallest entry of right - left.
     """
     dm = g.M.entries
     if g.kind != "affine" or np.count_nonzero(dm - np.diag(np.diagonal(dm))):
         return None
-    w, n = weight.entries, weight.n
-    inner = np.eye(n) if f.kind == "affine" else np.abs(f.L.entries)
-    left, right = (w, np.abs(f.M.entries), inner), (gain.entries, w, np.abs(dm))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        lo, hi = left[0] @ left[1] @ left[2], right[0] @ right[1] @ right[2]
-    a = np.abs(np.concatenate([m.ravel() for m in left + right]))
-    if ((a == 0.0) | ((a >= _LOW) & (a <= _HIGH))).all():
-        est = hi - lo
-        err = 4 * (2 * n * 2.0**-53 / (1 - 2 * n * 2.0**-53)) * np.maximum(lo, hi)
-        exact = (np.abs(est) <= err) | (est - err <= (est + err).min())
-    else:  # a product may underflow or overflow: the float pass decides nothing
-        est, exact = np.zeros((n, n)), np.ones((n, n), dtype=bool)
-    fails, gap = est < 0.0, math.inf
-    pairs = list(zip(*np.nonzero(exact)))
-    for (i, j), (p, s), (q, t) in zip(pairs, _exact(*left, pairs), _exact(*right, pairs)):
-        u = max(s, t)
-        diff = (q << (u - t)) - (p << (u - s))
-        fails[i, j] = diff < 0
-        try:
-            gap = min(gap, diff / (1 << u))  # int / int rounds to nearest
-        except OverflowError:
-            gap = min(gap, math.copysign(math.inf, diff))
-    return fails.any(axis=0), gap, lo, hi
+    (w, sw), (m, sm), (k, sk), (d, sd) = map(
+        _dyadic, (weight.entries, np.abs(f.M.entries), gain.entries, np.abs(np.diagonal(dm)))
+    )
+    left, s = w @ m, sw + sm
+    if f.kind != "affine":
+        inner, si = _dyadic(np.abs(f.L.entries))
+        left, s = left @ inner, s + si
+    right, t = k @ w * d, sk + sw + sd  # times d scales column j by |D_jj|
+    u = max(s, t)
+    diff = (right << (u - t)) - (left << (u - s))
+    smallest = min(diff.ravel().tolist())
+    try:
+        gap = smallest / (1 << u)  # int / int rounds to nearest
+    except OverflowError:
+        gap = math.copysign(math.inf, smallest)
+    return (diff < 0).any(axis=0), gap
 
 
 def lipschitz(f: MapSpec, g: MapSpec, k: SquareMatrix, weight: SquareMatrix):
@@ -102,10 +73,13 @@ def lipschitz(f: MapSpec, g: MapSpec, k: SquareMatrix, weight: SquareMatrix):
     decided = _decide(f, g, k, weight)
     if decided is None:
         return None
-    failed, gap, lo, hi = decided
+    failed, gap = decided
     method = "exact" if f.kind == "affine" else "sufficient"
     if not failed.any():
         return LipschitzReport(0, method=method, gap=gap)
+    w = weight.entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = w @ np.abs(f.M.entries), k.entries @ w * np.abs(np.diagonal(g.M.entries))
     if method == "sufficient" or not np.isfinite(np.hstack((lo, hi))).all():
         return None  # sampling decides, or raises the typed error of an overflow
     found = _witnesses(failed, np.eye(len(lo)), np.zeros_like(lo), lo.T, hi.T)
@@ -121,19 +95,31 @@ def condition_c(f: MapSpec, g: MapSpec, gain: SquareMatrix, weight: SquareMatrix
 
 
 def comparison_axioms(gain: SquareMatrix) -> ComparisonAxiomReport:
-    """The four axioms of phi(t) = G t, exactly: G diagonal with entries in [0, 1).
+    """The four axioms of phi(t) = G t, exactly, for a LinearComparison's gain.
 
-    gap is the smallest entry of I - G. A refutation holds one shrink witness
-    (e_j, G e_j) per column j that is not g_jj e_j with 0 <= g_jj < 1.
+    That gain is nonnegative with spectral radius below 1, so monotonicity
+    and the tail hold, and shrink and interior hold when G is diagonal with
+    entries below 1. Each other column j gets one shrink witness (e_j, G e_j)
+    and one interior witness (t, G t), t = e_j + c 1 with c the largest
+    entry of the column off the diagonal, or 1: row i of that entry, or j,
+    has t_i <= (G t)_i, also in floats. gap is min(1 - g_jj) on a pass and
+    the worst excess, minus that entry or 1 - g_jj, on a failure.
     """
     g = gain.entries
     n, diagonal = len(g), np.diagonal(g)
-    failed = (g - np.diag(diagonal) != 0.0).any(axis=0) | (diagonal < 0.0) | (diagonal >= 1.0)
-    shrink = _witnesses(failed, np.eye(n), g.T)
-    return ComparisonAxiomReport(0, shrink, method="exact", gap=float((np.eye(n) - g).min()))
+    off = (g - np.diag(diagonal)).max(axis=0)
+    failed = (off > 0.0) | (diagonal >= 1.0)
+    t = np.eye(n) + np.where(off > 0.0, off, 1.0)[:, None]
+    gap = min(float((1.0 - diagonal).min()), -float(off.max()) if off.any() else math.inf)
+    return ComparisonAxiomReport(
+        0, _witnesses(failed, np.eye(n), g.T), interior_violations=_witnesses(failed, t, t @ g.T),
+        method="exact", gap=gap,
+    )
 
 
-def metric_axioms(weight: SquareMatrix) -> MetricAxiomReport | None:
-    """d(x, y) = W |x - y| is a vector metric when W > 0; gap is W's smallest entry."""
-    smallest = float(weight.entries.min())
-    return MetricAxiomReport(0, method="exact", gap=smallest) if smallest > 0.0 else None
+def metric_axioms(weight: SquareMatrix) -> MetricAxiomReport:
+    """d(x, y) = W |x - y| is a vector metric, since parsing requires W > 0.
+
+    gap is W's smallest entry.
+    """
+    return MetricAxiomReport(0, method="exact", gap=float(weight.entries.min()))

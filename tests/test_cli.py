@@ -544,12 +544,13 @@ _COUPLED_SMALL = _DIAGONAL_LINE.replace("n = 1", "n = 2").replace("W = 1", "W = 
 
 def test_check_comparison_refutes_a_small_coupling(tmp_path, capsys):
     # phi(t) = G t shrinks e_2 only if G's second column is zero off the
-    # diagonal: G e_2 = (1e-3, 0.5) is not below e_2 = (0, 1)
+    # diagonal: G e_2 = (1e-3, 0.5) is not below e_2 = (0, 1), and the
+    # interior t = (1e-3, 1.001) has t - G t = (-5.01e-4, 0.5005)
     code = run(["check-comparison", write(tmp_path, _COUPLED_SMALL)])
     out = capsys.readouterr().out
     assert code == EXIT_HYPOTHESIS
     assert (
-        "#REC kind=comparison_axioms samples=0 shrink=1 monotone=0 interior=0 tail=0 "
+        "#REC kind=comparison_axioms samples=0 shrink=1 monotone=0 interior=1 tail=0 "
         "tail_checked=0 method=exact gap=-0.001 verdict=fail" in out
     )
 
@@ -598,7 +599,7 @@ _COUPLED_GAIN = (
     "#REC kind=comparison status=certified rho=0.79999999999999993 deficiency_in_cone=false",
 )
 _COUPLED_FAIL = (
-    "#REC kind=comparison_axioms samples=0 shrink=2 monotone=0 interior=0 "
+    "#REC kind=comparison_axioms samples=0 shrink=2 monotone=0 interior=2 "
     "tail=0 tail_checked=0 method=exact gap=-0.29999999999999999 verdict=fail"
 )
 _SINGULAR_GAIN = (

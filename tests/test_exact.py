@@ -117,7 +117,7 @@ def test_exact_ties_and_dyadic_equalities():
 @pytest.mark.parametrize(
     ("w", "m", "k", "holds"),
     [
-        # inputs outside [2^-300, 2^300] skip the float pass
+        # entries whose float products overflow or underflow are compared exactly too
         (2.0**400, 2.0**-400, 1.0, True),
         (2.0**-400, 2.0**400, 0.5, False),
         (1e-200, 1e-200, 1e-150, True),
@@ -189,12 +189,19 @@ def test_condition_c_first_branch_is_sufficient():
 def test_comparison_axioms_rule(gain, failing):
     report = comparison_axioms(mat(gain))
     n = len(gain)
-    expected_gap = min(Fraction(int(i == j)) - Fraction(gain[i][j]) for i in range(n) for j in range(n))
+    off = [Fraction(gain[i][j]) for i in range(n) for j in range(n) if i != j and gain[i][j]]
+    expected_gap = min([1 - Fraction(gain[j][j]) for j in range(n)] + ([-max(off)] if off else []))
     assert (report.method, report.samples_tested, report.tail_checked) == ("exact", 0, 0)
     assert report.passed is (not failing)
     assert report.gap == float(expected_gap)
     assert [int(np.flatnonzero(t.components)[0]) for t, _ in report.shrink_violations] == failing
-    assert not (report.monotone_violations or report.interior_violations or report.tail_violations)
+    # an interior witness is a positive t with some t_i <= (G t)_i, exactly
+    assert len(report.interior_violations) == len(failing)
+    for t, _ in report.interior_violations:
+        ts = [Fraction(x) for x in t.components]
+        gt = [sum(Fraction(gain[i][j]) * ts[j] for j in range(n)) for i in range(n)]
+        assert min(ts) > 0 and any(x <= y for x, y in zip(ts, gt))
+    assert not (report.monotone_violations or report.tail_violations)
 
 
 def test_metric_axioms_follow_from_a_positive_weight():
