@@ -407,26 +407,64 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison:
     return phi
 
 
-def _iter_writer(n: int):
-    """A solver's on_step that writes each iter record as the step is taken.
+# Values per rendered chunk of iter records; shorter runs are never chunked.
+_CHUNK_VALUES = 4096
 
-    Each record is one write, so a solve that fails part way has already
-    printed the records of the steps it took.
+
+def _iter_writer(n: int):
+    """A solver's on_step that writes the iter records, and the flush for the last ones.
+
+    Each step's j, y, dist and bound are copied into a chunk of about
+    _CHUNK_VALUES doubles; a full chunk is rendered at once by perov._g17,
+    imported with the first one, which prints exactly what '%.17g' prints.
+    flush writes the steps of a partial chunk through the per-record
+    template. Each record is one write, so once flushed, a solve that fails
+    part way has printed the records of every step it took.
     """
     vec = _vec_template(n)
     line = f"#REC kind=iter n=%d y={vec} dist={vec} bound={vec}\n"
     write = sys.stdout.write
+    chunk = np.empty((-(-_CHUNK_VALUES // (3 * n + 1)), 3 * n + 1))
+    rows, steps = chunk[:, 1:], []
+    render = None
 
     def on_step(j, y, dist, bound):
-        write(line % (j, *y.tolist(), *dist.tolist(), *bound.tolist()))
+        nonlocal render
+        np.concatenate((y, dist, bound), out=rows[len(steps)])
+        steps.append(j)
+        if len(steps) == len(rows):
+            if render is None:
+                from ._g17 import RowFormatter
 
-    return on_step
+                vector = [","] * (n - 1)
+                render = RowFormatter(
+                    len(rows), ["#REC kind=iter n=", " y=", *vector, " dist=", *vector, " bound=", *vector]
+                )
+            chunk[:, 0] = steps
+            steps.clear()
+            for text in render(chunk):
+                write(text)
+
+    def flush():
+        for j, row in zip(steps, rows[: len(steps)].tolist()):
+            write(line % (j, *row))
+        steps.clear()
+
+    return on_step, flush
 
 
 def _solve(pf: ProblemFile, solver, *args) -> int:
-    """solver(*args, x0, eps, budget) with iter records; emit the result, return the exit code."""
+    """solver(*args, x0, eps, budget) with iter records; emit the result, return the exit code.
+
+    The iter records of a partial last chunk are written when the solver
+    returns or raises, so they precede the result or the error line.
+    """
     print("== iterations ==")
-    result: SolveResult = solver(*args, pf.x0, pf.eps, pf.budget, on_step=_iter_writer(pf.n))
+    on_step, flush = _iter_writer(pf.n)
+    try:
+        result: SolveResult = solver(*args, pf.x0, pf.eps, pf.budget, on_step=on_step)
+    finally:
+        flush()
     status = result.trace.status
     print("== result ==")
     if result.hypothesis_witness is not None and "step" in result.hypothesis_witness:

@@ -36,6 +36,7 @@ __all__ = [
     "linear_comparison",
     "comparison_apply",
     "check_comparison_axioms",
+    "linear_comparison_axioms",
     "CERT_RESIDUAL_MAX",
 ]
 
@@ -182,8 +183,8 @@ class LinearComparison:
     it to a cone vector stays in the cone. deficiency_in_cone records whether
     1 - G itself has no negative entry (and is nonzero). All four comparison
     axioms hold exactly when G is diagonal with entries in [0, 1), for this
-    entrywise order (t = e_j shows the need); perov.exact decides that rule,
-    and check_comparison_axioms samples any other phi.
+    entrywise order (t = e_j shows the need); linear_comparison_axioms
+    decides that rule, and check_comparison_axioms samples any other phi.
     """
 
     gain: SquareMatrix
@@ -272,6 +273,29 @@ def check_comparison_axioms(
             for i in failed
         ],
         tail_checked=int(checked),
+    )
+
+
+def linear_comparison_axioms(gain: SquareMatrix) -> ComparisonAxiomReport:
+    """The four axioms of phi(t) = G t, exactly, for a LinearComparison's gain.
+
+    That gain is nonnegative with spectral radius below 1, so monotonicity
+    and the tail hold, and shrink and interior hold when G is diagonal with
+    entries below 1. Each other column j gets one shrink witness (e_j, G e_j)
+    and one interior witness (t, G t), t = e_j + c 1 with c the largest
+    entry of the column off the diagonal, or 1: row i of that entry, or j,
+    has t_i <= (G t)_i, also in floats. gap is min(1 - g_jj) on a pass and
+    the worst excess, minus that entry or 1 - g_jj, on a failure.
+    """
+    g = gain.entries
+    n, diagonal = len(g), np.diagonal(g)
+    off = (g - np.diag(diagonal)).max(axis=0)
+    failed = (off > 0.0) | (diagonal >= 1.0)
+    t = np.eye(n) + np.where(off > 0.0, off, 1.0)[:, None]
+    gap = min(float((1.0 - diagonal).min()), -float(off.max()) if off.any() else math.inf)
+    return ComparisonAxiomReport(
+        0, _witnesses(failed, np.eye(n), g.T), interior_violations=_witnesses(failed, t, t @ g.T),
+        method="exact", gap=gap,
     )
 
 

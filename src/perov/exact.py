@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .contraction import ComparisonAxiomReport
+from .contraction import linear_comparison_axioms as comparison_axioms
 from .metric import MetricAxiomReport
 from .ordered_algebra import SquareMatrix
 from .sampling import _witnesses
@@ -92,29 +92,6 @@ def condition_c(f: MapSpec, g: MapSpec, gain: SquareMatrix, weight: SquareMatrix
     if decided is None or decided[0].any():
         return None
     return ConditionCReport(0, method="sufficient", gap=decided[1])
-
-
-def comparison_axioms(gain: SquareMatrix) -> ComparisonAxiomReport:
-    """The four axioms of phi(t) = G t, exactly, for a LinearComparison's gain.
-
-    That gain is nonnegative with spectral radius below 1, so monotonicity
-    and the tail hold, and shrink and interior hold when G is diagonal with
-    entries below 1. Each other column j gets one shrink witness (e_j, G e_j)
-    and one interior witness (t, G t), t = e_j + c 1 with c the largest
-    entry of the column off the diagonal, or 1: row i of that entry, or j,
-    has t_i <= (G t)_i, also in floats. gap is min(1 - g_jj) on a pass and
-    the worst excess, minus that entry or 1 - g_jj, on a failure.
-    """
-    g = gain.entries
-    n, diagonal = len(g), np.diagonal(g)
-    off = (g - np.diag(diagonal)).max(axis=0)
-    failed = (off > 0.0) | (diagonal >= 1.0)
-    t = np.eye(n) + np.where(off > 0.0, off, 1.0)[:, None]
-    gap = min(float((1.0 - diagonal).min()), -float(off.max()) if off.any() else math.inf)
-    return ComparisonAxiomReport(
-        0, _witnesses(failed, np.eye(n), g.T), interior_violations=_witnesses(failed, t, t @ g.T),
-        method="exact", gap=gap,
-    )
 
 
 def metric_axioms(weight: SquareMatrix) -> MetricAxiomReport:

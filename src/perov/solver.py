@@ -7,8 +7,9 @@ coefficient k (perov_solve, jungck_solve) the certificate's S = (I - k)^-1
 turns the first step distance into a componentwise a-priori bound
 k^j S d_0 on the distance to the limit, which drives the stopping rule.
 comparison_solve replaces k by a comparison function phi, which admits no
-computable tail bound: phi is screened on a cone sample first and the
-contraction condition is verified online at every step.
+computable tail bound: phi's axioms are screened first, exactly for a
+LinearComparison and on a cone sample otherwise, and the contraction
+condition is verified online at every step.
 
 The loop keeps its state as (1, n) arrays and calls f, g, the metric and
 phi in their (count, n) stack form: a declarative one as its unchecked _raw
@@ -28,7 +29,13 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contraction import ContractionCertificate, _require_nonnegative, check_comparison_axioms
+from .contraction import (
+    ContractionCertificate,
+    LinearComparison,
+    _require_nonnegative,
+    check_comparison_axioms,
+    linear_comparison_axioms,
+)
 from .errors import EvaluationError, PreimageError, UsageError
 from .metric import MetricFn
 from .ordered_algebra import SquareMatrix, Vector, _rows, _same_dim, _shaped, _slack
@@ -360,8 +367,9 @@ def _iterate(
     pass. Bounds start at S d_0 under cert and at d_0 under phi, then follow
     k or phi. The run stops once the halved step distance, or under cert the
     bound, falls strictly below eps, provided the step and the residual
-    d(f x, g x) at the new point are below eps too. Under phi, phi is first
-    screened on 128 cone samples, every step distance must stay below phi of
+    d(f x, g x) at the new point are below eps too. Under phi, phi's axioms
+    are first screened, by linear_comparison_axioms for a LinearComparison
+    and on 128 cone samples otherwise; every step distance must stay below phi of
     the previous one, and an exactly zero step ends the run at the current
     point. Each step goes to on_step, when given, before its checks, so a
     step that breaks a hypothesis is seen too. One finiteness test per step
@@ -382,7 +390,10 @@ def _iterate(
     status = SolveStatus.BUDGET_EXHAUSTED
     witness: dict | None = None
     if phi is not None:
-        screen = check_comparison_axioms(phi, cone_sampler(n, seed=1), 128)
+        if isinstance(phi, LinearComparison):
+            screen = linear_comparison_axioms(phi.gain)
+        else:
+            screen = check_comparison_axioms(phi, cone_sampler(n, seed=1), 128)
         if not screen.passed:
             status = SolveStatus.HYPOTHESIS_VIOLATED
             witness = {"stage": "comparison-axioms", "report": screen}
@@ -531,8 +542,11 @@ def comparison_solve(
 ) -> SolveResult:
     """Coincidence iteration contracted by a comparison function.
 
-    phi is screened on 128 cone samples (seed 1) before iterating; a failed
-    screen, like a failed online step check, ends the run with status
+    phi's comparison axioms are screened before iterating: a
+    LinearComparison's exactly, by linear_comparison_axioms (its gain must be
+    diagonal with entries below 1), any other phi on 128 cone samples
+    (seed 1), which can only refute. A failed screen, like a failed online
+    step check, ends the run with status
     HYPOTHESIS_VIOLATED and a witness attached. The online check requires
     every step distance to be dominated by phi of the previous one, which is
     exactly the chain the convergence argument rests on.

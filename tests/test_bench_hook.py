@@ -45,13 +45,13 @@ def test_tracer_hooks_still_bind():
 
 
 # gate calls count the sampled checks the tracer wraps. The CLI decides these
-# files' gates in closed form (perov.exact), which the tracer does not see, so
-# only solve-comparison's axiom screen inside the solver still samples
+# files' gates in closed form (perov.exact), which the tracer does not see,
+# and the solver screens a linear gain's axioms exactly too, so none samples
 @pytest.mark.parametrize(
     ("command", "stem", "gate_calls"),
     [
         ("solve-jungck", "jungck-shift", 0),
-        ("solve-comparison", "comparison-half", 1),
+        ("solve-comparison", "comparison-half", 0),
         ("check-metric", "comparison-2d", 0),
         ("check-comparison", "comparison-2d", 0),
         ("verify-condition-c", "comparison-2d", 0),

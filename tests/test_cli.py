@@ -475,8 +475,10 @@ def test_sampled_commands_leave_numpy_random_and_argparse_unimported():
     # numpy.random (~15 ms to import) is not needed, since the samplers
     # reproduce its stream, and argparse's first gettext call imports locale
     # (~2.5 ms per run); the closed-form gates compute on Python ints, not
-    # fractions or decimal (~2 ms to import); only a fresh interpreter shows it
-    unwanted = ("numpy.random", "argparse", "gettext", "locale", "fractions", "decimal")
+    # fractions or decimal (~2 ms to import); no shipped solve fills a chunk
+    # of iter records, so none loads their renderer, perov._g17; only a fresh
+    # interpreter shows it
+    unwanted = ("numpy.random", "argparse", "gettext", "locale", "fractions", "decimal", "perov._g17")
     cases = [(command, pathlib.Path(rel).stem, code) for rel, command, code in SHIPPED]
     cases.append(("check-metric", "comparison-2d", 0))
     script = (
@@ -495,6 +497,25 @@ def test_sampled_commands_leave_numpy_random_and_argparse_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"{c} {code} []" for c, _, code in cases]
+
+
+SLOW_TAIL = """\
+n = 1
+W = 1
+f.kind = affine
+f.M = 0.5
+f.b = 1
+lambda = 0.9999
+x0 = 0
+eps = 1e-10
+"""
+
+
+def test_slow_tail_linear_gain_converges(tmp_path, capsys):
+    # the solver screens a linear gain's axioms exactly; a 128-sample screen
+    # refuted this valid gain, whose tail takes ~10^5 applications
+    assert run(["solve-comparison", write(tmp_path, SLOW_TAIL)]) == EXIT_OK
+    assert "#REC kind=result status=converged point=1.9999999999" in capsys.readouterr().out
 
 
 def test_run_check_metric(tmp_path, capsys):
