@@ -2,7 +2,11 @@
 
 One loop serves three entry points. It runs the coincidence iteration
 f(x_j) = g(x_{j+1}), inverting g through a supplied oracle; perov_solve is
-the case g = id, which needs no inversion. With a certified matrix
+the case g = id, which needs no inversion. When f is declarative and the
+oracle is g's own affine_preimage, the loop iterates the values v = g x
+under h = f g^-1, built once per solve, and solves for a point only where
+it needs one; otherwise it takes the literal steps, one checked preimage
+solve each. With a certified matrix
 coefficient k (perov_solve, jungck_solve) the certificate's S = (I - k)^-1
 turns the first step distance into a componentwise a-priori bound
 k^j S d_0 on the distance to the limit, which drives the stopping rule.
@@ -181,7 +185,9 @@ def affine_preimage(g: MapSpec) -> MapFn:
     is a usage error raised here rather than at the first call. Its _raw
     form, for the solve loop, takes a stack and calls LAPACK's gesv kernel,
     which np.linalg.solve wraps, directly: the same bits without the
-    wrapper's checks. gesv factors g.M again at every call.
+    wrapper's checks. The oracle is marked with the g it inverts, so that a
+    solve can iterate values under f g^-1 and call it only where it needs a
+    point.
     """
     if g.kind != "affine":
         raise UsageError("only affine maps can be auto-inverted")
@@ -196,7 +202,34 @@ def affine_preimage(g: MapSpec) -> MapFn:
         return _shaped(np.linalg.solve(m, (_rows(y, n) - b).T).T)
 
     solve._raw, solve.n = lambda a: _umath_linalg.solve(m, (a - b).T).T, n
+    solve._inverts = g
     return solve
+
+
+def _value_map(f, g, g_solve) -> MapSpec | None:
+    """h = f g^-1 as a MapSpec, for a declarative f and g's own affine_preimage; else None.
+
+    g x_{j+1} = f x_j is then v_{j+1} = h(v_j) on the values v = g x. With
+    x = M_g^-1 (v - b_g), an affine f becomes (M_f M_g^-1, b_f - M_f M_g^-1 b_g),
+    and a componentwise f takes the same fold in its inner stage (L, d).
+    M_g^-1 is applied by one solve; the product is stored C-contiguous,
+    like every SquareMatrix, so a step takes the BLAS path of f.M. A zero
+    b_g leaves the offset as it is, so for g = id h is f bit for bit. A
+    product or offset that is not finite gives None.
+    """
+    if not isinstance(f, MapSpec) or getattr(g_solve, "_inverts", None) is not g:
+        return None
+    m, b = (f.M, f.b) if f.kind == "affine" else (f.L, f.d)
+    m, b = m.entries, b.components
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.linalg.solve(g.M.entries.T, m.T).T
+        c = b - a.dot(g.b.components) if g.b.components.any() else b
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        return None
+    a, c = SquareMatrix._wrap(a), Vector._wrap(c)
+    if f.kind == "affine":
+        return MapSpec.affine(a, c)
+    return MapSpec.componentwise(f.M, f.b, a, c, f.tags)
 
 
 class SolveStatus(enum.Enum):
@@ -364,9 +397,13 @@ def _iterate(
     """The iteration behind all three solvers; exactly one of cert and phi is given.
 
     g=None means the identity: no preimage call and no weak-compatibility
-    pass. Bounds start at S d_0 under cert and at d_0 under phi, then follow
-    k or phi. The run stops once the halved step distance, or under cert the
-    bound, falls strictly below eps, provided the step and the residual
+    pass. When _value_map gives h = f g^-1, the steps are v_{j+1} = h(v_j)
+    from v_0 = g(x0), as for a self-map, and x = g^-1(v) is solved and
+    checked only on the first step, where the step test passes, and at
+    every exit; otherwise every step solves x_{j+1} = g^-1(f x_j). Bounds
+    start at S d_0 under cert and at d_0 under phi, then follow k or phi.
+    The run stops once the halved step distance, or under cert the bound,
+    falls strictly below eps, provided the step and the residual
     d(f x, g x) at the new point are below eps too. Under phi, phi's axioms
     are first screened, by linear_comparison_axioms for a LinearComparison
     and on 128 cone samples otherwise; every step distance must stay below phi of
@@ -374,9 +411,9 @@ def _iterate(
     point. Each step goes to on_step, when given, before its checks, so a
     step that breaks a hypothesis is seen too. One finiteness test per step
     covers y (else EvaluationError), dist and bound (else UsageError),
-    whatever callable made them; the residual test covers x and g(x). Each
-    per-step check is one numpy reduction, and only a failed one runs the
-    exact elementwise test, which raises the typed error.
+    whatever callable made them; the preimage residual test covers x and
+    g(x). Each per-step check is one numpy reduction, and only a failed one
+    runs the exact elementwise test, which raises the typed error.
     """
     n = getattr(metric, "n", x0.n)
     if x0.n != n or eps.n != n:
@@ -402,10 +439,17 @@ def _iterate(
     eps_half = 0.5 * eps
     x = x0.components[None]
     prev_val = x if g is None else g(x)
-    f_raw, metric_raw = _lowered(f, n), _lowered(metric, n)
+    metric_raw = _lowered(metric, n)
+    h = None if g is None else _value_map(f, g, g_solve)
+    literal = g is not None and h is None  # x_{j+1} = g^-1(f x_j), solved at every step
+    step_raw = _lowered(f if h is None else h, n)
     if g is not None:  # a user oracle gets the row as a frozen Vector
         g_raw = _lowered(g, n)
         solve = _lowered(g_solve, n, lambda row: g_solve(_vec(row)).components[None])
+
+        def lift(v):
+            return _checked_preimage(solve, g_raw, g_solve, v)
+
     phi_raw = None if phi is None else _lowered(phi, n)
     k_t = None if cert is None else cert.k.entries.T
     steps = 0
@@ -413,7 +457,7 @@ def _iterate(
     residual: np.ndarray | None = None
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness tests catch overflow
         for j in range(budget):
-            y = f_raw(x)
+            y = step_raw(x if literal else prev_val)
             d_j = metric_raw(prev_val, y)
             # keep M.T a view: a contiguous copy takes another BLAS path and moves bits
             if j == 0:
@@ -448,18 +492,28 @@ def _iterate(
                     # The current point is an exact coincidence point.
                     status = SolveStatus.CONVERGED
                     break
-            x_next = y if g is None else _checked_preimage(solve, g_raw, g_solve, y)
+            # in value space a point is solved on step 0, so that an oracle
+            # that misses PREIMAGE_TOL is refused at once, and then only
+            # where the step test passes and at the exit
+            if g is None:
+                x_next = y
+            else:
+                x_next = lift(y) if literal or j == 0 else None
             # the step test comes first: it fails on all but the last few steps
             if np.minimum.reduce(eps - d_j, None) > 0.0 and (
                 (cert is not None and np.minimum.reduce(eps - bound, None) > 0.0)
                 or np.minimum.reduce(eps_half - d_j, None) > 0.0
             ):
+                if x_next is None:
+                    x_next = lift(y)
                 gap = metric(f(x_next), x_next if g is None else g(x_next))
                 if (eps - gap > 0.0).all():
                     status = SolveStatus.CONVERGED
                     x, residual = x_next, gap
                     break
             prev_val, prev_d, x = y, d_j, x_next
+    if x is None:  # every exit of a value-space run returns the point of its value
+        x = lift(prev_val)
     value = x if g is None else g(x)
     if residual is None:
         residual = metric(f(x), value)
@@ -518,12 +572,16 @@ def jungck_solve(
     """Drive the coincidence iteration f(x_j) = g(x_{j+1}) to its limit.
 
     g is inverted through g_solve, a Vector -> Vector oracle whose residual
-    is checked at every step (a breach raises PreimageError). On convergence
-    the result carries the coincidence point p, the value g(p) and the
-    weak-compatibility verdict at p; when that verdict holds, the value is
-    also the common fixed point. f, g, the metric and on_step are used as in
-    perov_solve, with y = g(x_j) (after step 0 the common value
-    f(x_{j-1}) = g(x_j)) and dist = d(g x_j, f x_j).
+    is checked wherever the loop solves for a point (a breach raises
+    PreimageError): at every step, or, when f is a MapSpec and g_solve is
+    affine_preimage(g), only on the first step, where the step test passes
+    and at the exit, because the loop then iterates g's values under
+    f g^-1. On convergence the result carries the coincidence point p, the
+    value g(p) and the weak-compatibility verdict at p; when that verdict
+    holds, the value is also the common fixed point. f, g, the metric and
+    on_step are used as in perov_solve, with y = g(x_j) (after step 0 the
+    common value f(x_{j-1}) = g(x_j), up to rounding) and
+    dist = d(g x_j, f x_j).
     """
     return _iterate(f, g, g_solve, metric, x0, eps, budget, cert=cert, on_step=on_step)
 
@@ -555,6 +613,8 @@ def comparison_solve(
     coincidence point and ends the run immediately. phi is called on (1, n)
     stacks like f, g and the metric; g_solve and on_step are used as in
     jungck_solve, except that bound is phi^j(d_0), an envelope of the step
-    distances and not an error bound.
+    distances and not an error bound. A run in value space, as in
+    jungck_solve, returns with every status the point g_solve gives for the
+    value its last step started from.
     """
     return _iterate(f, g, g_solve, metric, x0, eps, budget, phi=phi, on_step=on_step)

@@ -760,6 +760,37 @@ def test_iter_records_stream_before_a_mid_solve_breach(tmp_path, capsys):
     )
 
 
+# g.M has determinant -1 and entries near 1e6, so no solve of it meets PREIMAGE_TOL
+ILL_CONDITIONED_G = """\
+n = 2
+W = 1, 0.5; 0.5, 1
+f.kind = affine
+f.M = 500000, 499999.5; 499999.5, 499999
+f.b = 1, 1
+g.kind = affine
+g.M = 1000000, 999999; 999999, 999998
+g.b = 0, 0
+k = 0.5, 0; 0, 0.5
+x0 = 0, 0
+eps = 1e-10
+"""
+
+
+def test_auto_oracle_breach_ends_at_its_first_step(tmp_path, capsys):
+    # a run in value space solves the preimage of its first step, so an
+    # oracle that misses PREIMAGE_TOL is refused there, not after the budget
+    start = time.perf_counter()
+    code = run(["solve-jungck", write(tmp_path, ILL_CONDITIONED_G)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == EXIT_HYPOTHESIS
+    tail = out.split("== iterations ==\n")[1].splitlines()
+    assert tail[0].startswith("#REC kind=iter n=0 ")
+    assert tail[1].startswith("hypothesis breach: preimage oracle residual ")
+    assert tail[2:] == ["#REC kind=exit code=2"]
+    assert elapsed < 1.0
+
+
 _EDGE_DOUBLES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,

@@ -511,6 +511,83 @@ def test_jungck_budget_exhaustion():
     assert res.common_fixed_point is None
 
 
+def _plain_oracle(g):
+    """g's oracle as a plain function, which keeps a pair on its literal steps."""
+    solve = affine_preimage(g)
+    return lambda y: solve(y)
+
+
+def test_value_map_is_f_for_the_identity_and_absent_on_every_fallback():
+    f = MapSpec.affine(mat([[0.3, -0.2], [0.1, 0.4]]), vec(1.5, -2.5))
+    g = identity_map(2)
+    h = perov.solver._value_map(f, g, affine_preimage(g))
+    assert h.M.entries.tobytes() == f.M.entries.tobytes()
+    assert h.b.components.tobytes() == f.b.components.tobytes()
+    tiny = scalar_map(1e-310, 0.0)  # M_f M_g^-1 overflows
+    cw = MapSpec.componentwise(mat([[1.0]]), vec(0.0), mat([[1.0]]), vec(0.0), ("sin",))
+    for pair in [
+        (scalar_map(0.5, 1.0), tiny, affine_preimage(tiny)),
+        (scalar_map(0.5, 1.0), scalar_map(2.0, 0.0), _plain_oracle(scalar_map(2.0, 0.0))),
+        (lambda x: x, g, affine_preimage(g)),
+        (scalar_map(0.5, 1.0), cw, lambda y: y),
+    ]:
+        assert perov.solver._value_map(*pair) is None
+
+
+def _atan_violation():
+    # h(v) = 0.9 atan((v - 1) / 1.2) contracts by ~0.75 near its fixed point:
+    # step 1 passes the online check against the gain 0.6, and step 2 fails it
+    f = MapSpec.componentwise(mat([[0.9]]), vec(0.0), mat([[1.0]]), vec(0.0), ("atan",))
+    return f, scalar_map(1.2, 1.0), vec(100.0), EPS1
+
+
+def _zero_step():
+    # h(v) = 0.5 (v - 1) / 3 + 0.7 lands on a float fixed point exactly,
+    # long before a step could fall below eps
+    return scalar_map(0.5, 0.7), scalar_map(3.0, 1.0), vec(100.0), Vector.full(1, 1e-300)
+
+
+@pytest.mark.parametrize(
+    ("case", "status"),
+    [(_atan_violation, SolveStatus.HYPOTHESIS_VIOLATED), (_zero_step, SolveStatus.CONVERGED)],
+)
+def test_value_space_exits_return_the_point_of_their_value(case, status):
+    # a break after step 1 leaves the loop with a value and no point; the
+    # point is recovered by g's oracle, like the point the literal steps keep
+    f, g, x0, eps = case()
+    phi = linear_comparison(mat([[0.6]]))
+    for solve in (affine_preimage(g), _plain_oracle(g)):
+        log = StepLog()
+        res = comparison_solve(f, g, solve, phi, scalar_metric(), x0, eps, on_step=log)
+        assert res.trace.status is status
+        assert res.trace.iterations >= 3
+        assert res.value.components.tobytes() == g(res.point).components.tobytes()
+        assert abs(res.value.components[0] - log.points[-1].components[0]) <= 1e-12
+
+
+def test_ill_conditioned_g_ends_alike_on_both_paths():
+    # g.M = U diag(1, 0.3, 1e-8) V^T; f = 0.999 k g + offset, with its
+    # coincidence point x_star, satisfies the hypothesis with W = I + k
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    gm = u @ np.diag([1.0, 0.3, 1e-8]) @ v.T
+    assert 0.9e8 < np.linalg.cond(gm) < 1.1e8
+    k = rng.uniform(0.1, 1.0, (3, 3))
+    k *= 0.9 / k.sum(axis=1, keepdims=True)
+    fm, gb, x_star = 0.999 * k @ gm, rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
+    f = MapSpec.affine(SquareMatrix(fm), Vector(gb - (fm - gm) @ x_star))
+    g = MapSpec.affine(SquareMatrix(gm), Vector(gb))
+    metric = WeightedMatrixMetric(SquareMatrix(np.eye(3) + k))
+    cert = certify_contraction(SquareMatrix(k), 1e-9)
+    value, literal = (
+        jungck_solve(f, g, solve, metric, cert, Vector.ones(3), Vector.full(3, 1e-10), 5000)
+        for solve in (affine_preimage(g), _plain_oracle(g))
+    )
+    assert value.trace.status is literal.trace.status is SolveStatus.CONVERGED
+    assert np.all(value.residual.components < 1e-10)
+
+
 # -- comparison solver --------------------------------------------------------
 
 
@@ -657,17 +734,11 @@ def test_perov_is_jungck_with_identity(seed):
     assert np.array_equal(a.point.components, b.point.components)
 
 
-def _as_plain_functions(*callables):
-    """Library stand-ins for declarative callables: plain functions that call them."""
-    return [lambda *args, c=c: c(*args) for c in callables]
+_CALLABLES = ("f", "g", "metric", "phi", "solve")
 
 
-def _random_problem(kind, seed, wrapped=False, **options):
-    """One seeded affine problem, solved by the named wrapper.
-
-    wrapped=True passes f, g, the metric, phi and the preimage oracle as
-    plain functions, which the loop calls as library callables.
-    """
+def _random_parts(seed):
+    """One seeded affine problem: f, g, the metric, phi, g's oracle, k, x0 and eps."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     m = rng.uniform(0.0, 1.0, (n, n))
@@ -682,41 +753,97 @@ def _random_problem(kind, seed, wrapped=False, **options):
     metric = WeightedMatrixMetric(SquareMatrix(rng.uniform(0.1, 1.0, (n, n))))
     x0, eps = Vector(rng.uniform(-10.0, 10.0, n)), Vector.full(n, 1e-10)
     phi = linear_comparison(SquareMatrix.diagonal(np.full(n, 0.95)))
-    solve = affine_preimage(g)
-    if wrapped:
-        f, g, metric, phi, solve = _as_plain_functions(f, g, metric, phi, solve)
+    return {
+        "f": f, "g": g, "metric": metric, "phi": phi, "solve": affine_preimage(g),
+        "k": SquareMatrix(m), "x0": x0, "eps": eps,
+    }
+
+
+def _plain(parts, *names):
+    """parts with the named callables replaced by plain functions that call them.
+
+    The loop calls a plain function as a library callable: unlowered, and a
+    pair with a plain oracle takes the literal steps g x_{j+1} = f x_j.
+    """
+    return {**parts, **{name: (lambda *args, c=parts[name]: c(*args)) for name in names}}
+
+
+def _in_value_space(parts):
+    """Plain functions of h = f g^-1, the identity and its oracle, started from g(x0)."""
+    f, g = parts["f"], parts["g"]
+    a = np.linalg.solve(g.M.entries.T, f.M.entries.T).T
+    h = MapSpec.affine(SquareMatrix(a), Vector(f.b.components - a.dot(g.b.components)))
+    identity = identity_map(f.n)
+    values = {**parts, "f": h, "g": identity, "solve": affine_preimage(identity), "x0": g(parts["x0"])}
+    return _plain(values, *_CALLABLES)
+
+
+def _random_solve(kind, parts, **options):
+    """Solve parts with the named wrapper, at a budget of 500."""
+    f, g, solve, metric, x0, eps = (parts[key] for key in ("f", "g", "solve", "metric", "x0", "eps"))
     if kind == "perov":
-        cert = certify_contraction(SquareMatrix(m), 1e-9)
+        cert = certify_contraction(parts["k"], 1e-9)
         return perov_solve(f, metric, cert, x0, eps, 500, **options)
     if kind == "jungck":
-        cert = certify_contraction(SquareMatrix(m), 1e-9)
+        cert = certify_contraction(parts["k"], 1e-9)
         return jungck_solve(f, g, solve, metric, cert, x0, eps, 500, **options)
-    return comparison_solve(f, g, solve, phi, metric, x0, eps, 500, **options)
+    return comparison_solve(f, g, solve, parts["phi"], metric, x0, eps, 500, **options)
+
+
+def _assert_same_result(a, b):
+    """Two solves end alike, bit for bit."""
+    assert a.trace == b.trace
+    for name in ("point", "value", "residual", "common_fixed_point"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert (u is None and v is None) or u.components.tobytes() == v.components.tobytes()
+    assert a.weakly_compatible is b.weakly_compatible
+
+
+def _assert_same_steps(log_a, log_b):
+    for name in ("points", "step_dists", "bounds"):
+        left, right = getattr(log_a, name), getattr(log_b, name)
+        assert [v.components.tobytes() for v in left] == [v.components.tobytes() for v in right]
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind", ["perov", "jungck", "comparison"])
 def test_on_step_streams_what_the_trace_records(kind, seed):
     # a solve ends bit for bit the same with and without on_step, after as
-    # many steps as on_step was called; declarative callables run lowered,
-    # and plain functions that call them run as library callables through
-    # the same loop, to the same bits
-    plain = _random_problem(kind, seed)
+    # many steps as on_step was called. Library callables (plain functions)
+    # take the literal steps, to the bits of lowered declarative callables
+    # whose oracle alone is a plain function.
+    parts = _random_parts(seed)
     log = StepLog()
-    streamed = _random_problem(kind, seed, on_step=log)
-    library_log = StepLog()
-    library = _random_problem(kind, seed, wrapped=True, on_step=library_log)
+    streamed = _random_solve(kind, parts, on_step=log)
     assert streamed.trace.iterations == len(log.points) > 0
-    for other in (plain, library):
-        assert other.trace == streamed.trace
-        for name in ("point", "value", "residual", "common_fixed_point"):
-            a, b = getattr(streamed, name), getattr(other, name)
-            assert (a is None and b is None) or a.components.tobytes() == b.components.tobytes()
-        assert other.weakly_compatible is streamed.weakly_compatible
-    for name in ("points", "step_dists", "bounds"):
-        left, right = getattr(log, name), getattr(library_log, name)
-        assert [v.components.tobytes() for v in left] == [v.components.tobytes() for v in right]
+    _assert_same_result(streamed, _random_solve(kind, parts))
     assert_common_point_is_value(streamed)
+    library_log, literal_log = StepLog(), StepLog()
+    library = _random_solve(kind, _plain(parts, *_CALLABLES), on_step=library_log)
+    literal = _random_solve(kind, _plain(parts, "solve"), on_step=literal_log)
+    _assert_same_result(library, literal)
+    _assert_same_steps(library_log, literal_log)
+    if kind == "perov":
+        _assert_same_result(streamed, library)
+        _assert_same_steps(log, library_log)
+        return
+    # a declarative pair steps in value space: its steps are those of h = f g^-1
+    # from g(x0), and its point is g's oracle at the value of the last step
+    value_log = StepLog()
+    reference = _random_solve(kind, _in_value_space(parts), on_step=value_log)
+    _assert_same_steps(log, value_log)
+    assert reference.trace == streamed.trace
+    f, g, metric = parts["f"], parts["g"], parts["metric"]
+    point = parts["solve"](reference.point)
+    assert streamed.point.components.tobytes() == point.components.tobytes()
+    assert streamed.value.components.tobytes() == g(point).components.tobytes()
+    assert streamed.residual.components.tobytes() == metric(f(point), g(point)).components.tobytes()
+    assert abs(streamed.value.components - reference.value.components).max() <= 1e-12 * (
+        1.0 + abs(reference.value.components).max()
+    )
+    # and it ends where the literal steps end, to within the run's eps
+    assert literal.trace.status is streamed.trace.status is SolveStatus.CONVERGED
+    assert abs(streamed.value.components - literal.value.components).max() < 1e-10
 
 
 def test_streamed_trace_holds_no_rows():
@@ -863,6 +990,14 @@ def test_preimage_tolerance_scales_with_offsets():
     assert abs(res.point.components[0] + 1432099.6 / 1.4) < 1e-4
 
 
+# the digests of the runs with g's own oracle, which step in value space;
+# g.M = 0.5 inverts exactly, so for g.b = 0 both paths give the same bits
+LOWERED_DIGESTS = {
+    "0": "6f020318a20fe9c7dfc3ebb019a9e0e68182e5e5846165c182dac6ba6b1c9fae",
+    "1000000.3": "4d615c5787e7169dc37758c828c714d14a6a93a6cc593fd4414ea69d5230fd96",
+}
+
+
 @pytest.mark.parametrize(
     "g_b, budget, steps, digest",
     [
@@ -872,6 +1007,8 @@ def test_preimage_tolerance_scales_with_offsets():
     ],
 )
 def test_plain_preimage_oracle_runs_once_per_step(g_b, budget, steps, digest):
+    # a plain oracle takes the literal steps and is called once per step; g's
+    # own oracle lets the loop step in value space under f g^-1
     text = (ROOT / "problems" / "jungck-thirds.prob").read_text()
     pf = parse_problem_text(text.replace("g.b = 0", f"g.b = {g_b}"))
     metric, cert = WeightedMatrixMetric(pf.weight), certify_contraction(pf.k, 1e-9)
@@ -882,7 +1019,7 @@ def test_plain_preimage_oracle_runs_once_per_step(g_b, budget, steps, digest):
         calls.append(y)
         return solve(y)
 
-    streams = []
+    digests = []
     for g_solve in (oracle, solve):
         stream = []
 
@@ -892,12 +1029,11 @@ def test_plain_preimage_oracle_runs_once_per_step(g_b, budget, steps, digest):
         res = jungck_solve(pf.f, pf.g, g_solve, metric, cert, pf.x0, pf.eps, budget, on_step=on_step)
         assert res.trace.iterations == steps
         stream += [v.components.tobytes() for v in (res.point, res.value, res.residual)]
-        streams.append(b"".join(stream))
+        digests.append(hashlib.sha256(b"".join(stream)).hexdigest())
     assert len(calls) == steps
-    # the plain oracle and the lowered one give the steps and the result of the
-    # implementation this digest was taken from, bit for bit
-    assert streams[0] == streams[1]
-    assert hashlib.sha256(streams[0]).hexdigest() == digest
+    # each path gives the steps and the result of the implementation its
+    # digest was taken from, bit for bit
+    assert digests == [digest, LOWERED_DIGESTS[g_b]]
 
 
 def test_online_step_slack_scales_with_offsets():
