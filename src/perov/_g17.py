@@ -85,7 +85,7 @@ class RowFormatter:
 
     Column c of a row prints as prefixes[c] then '%.17g' of the value, and
     each row ends with a newline. The buffers are allocated once; each call
-    renders one full table.
+    renders a table of up to `rows` rows.
     """
 
     def __init__(self, rows: int, prefixes: list[str]):
@@ -108,8 +108,9 @@ class RowFormatter:
         self._digits = np.empty((len(_SCALES), rows * cols), dtype=np.int64)
 
     def __call__(self, values: np.ndarray) -> list[str]:
-        """The line of each row of values, an array of shape (rows, len(prefixes))."""
+        """The line of each row of values, an array of shape (count, len(prefixes)), count <= rows."""
         v = values.reshape(-1)
+        count = len(values)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = np.abs(v)
             e = np.floor(np.log10(a))
@@ -132,7 +133,7 @@ class RowFormatter:
         # the leading digit and four groups of four, as ASCII. A last digit
         # of zero starts trailing zeros: the groups after the last nonzero
         # digit drop them, but a value of 10 or more keeps its integer digits
-        d = self._digits
+        d = self._digits[:, : v.size]
         for row, scale in zip(d, _SCALES.ravel().tolist()):
             np.floor_divide(digits, scale, out=row)
         zeros = np.flatnonzero(ok & (digits % 10 == 0))
@@ -148,7 +149,7 @@ class RowFormatter:
         point = _POINTS.take(cls)
         point[zeros] &= nonzero[0]
         head = d[0] + ord("0") + point * (ord(".") << 8)
-        fields = self._fields
+        fields = self._fields[:count]
         shape = fields.shape[:2]
         lead = _LEADS.take(cls + (v < 0.0) * (_CLASSES + 1))
         fields[:, :, _LEAD:_GROUPS].view(np.uint64)[..., 0] = lead.reshape(shape)
@@ -160,5 +161,5 @@ class RowFormatter:
             texts = np.array([b"%.17g" % x for x in v[bad].tolist()], dtype=f"S{_TEXT}")
             at = (self._starts[bad] + _LEAD)[:, None] + np.arange(_TEXT)
             self._buf.reshape(-1)[at] = texts.view(np.uint8).reshape(-1, _TEXT)
-        lines = self._buf.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+        lines = self._buf[:count].tobytes().translate(None, b"\0").decode("ascii").split("\n")
         return [line + "\n" for line in lines[:-1]]

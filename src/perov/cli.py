@@ -417,9 +417,11 @@ def _iter_writer(n: int):
     Each step's j, y, dist and bound are copied into a chunk of about
     _CHUNK_VALUES doubles; a full chunk is rendered at once by perov._g17,
     imported with the first one, which prints exactly what '%.17g' prints.
-    flush writes the steps of a partial chunk through the per-record
-    template. Each record is one write, so once flushed, a solve that fails
-    part way has printed the records of every step it took.
+    flush writes the steps of a partial chunk through the same kernel once
+    it is loaded, and through the per-record template in a solve that never
+    filled a chunk, so that such a solve never imports it. Each record is
+    one write, so once flushed, a solve that fails part way has printed the
+    records of every step it took.
     """
     vec = _vec_template(n)
     line = f"#REC kind=iter n=%d y={vec} dist={vec} bound={vec}\n"
@@ -427,6 +429,13 @@ def _iter_writer(n: int):
     chunk = np.empty((-(-_CHUNK_VALUES // (3 * n + 1)), 3 * n + 1))
     rows, steps = chunk[:, 1:], []
     render = None
+
+    def emit():  # the steps of the chunk's first rows, through the kernel
+        table = chunk[: len(steps)]
+        table[:, 0] = steps
+        steps.clear()
+        for text in render(table):
+            write(text)
 
     def on_step(j, y, dist, bound):
         nonlocal render
@@ -440,15 +449,15 @@ def _iter_writer(n: int):
                 render = RowFormatter(
                     len(rows), ["#REC kind=iter n=", " y=", *vector, " dist=", *vector, " bound=", *vector]
                 )
-            chunk[:, 0] = steps
-            steps.clear()
-            for text in render(chunk):
-                write(text)
+            emit()
 
     def flush():
-        for j, row in zip(steps, rows[: len(steps)].tolist()):
-            write(line % (j, *row))
-        steps.clear()
+        if render is None:
+            for j, row in zip(steps, rows[: len(steps)].tolist()):
+                write(line % (j, *row))
+            steps.clear()
+        elif steps:
+            emit()
 
     return on_step, flush
 

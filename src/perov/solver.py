@@ -17,10 +17,15 @@ condition is verified online at every step.
 
 The loop keeps its state as (1, n) arrays and calls f, g, the metric and
 phi in their (count, n) stack form: a declarative one as its unchecked _raw
-arithmetic, with one finiteness test per step; values become Vectors only
-where they leave the loop. A step leaves the loop only through the caller's
-on_step, as it is taken: a solve holds no rows, and its memory does not
-grow with the budget.
+arithmetic; values become Vectors only where they leave the loop. It takes
+steps in blocks: each step's arithmetic runs in turn on its (1, n) row,
+then the finiteness, stop and online comparison tests are screened once
+over the block's rows, and only a block that fails a screen runs the
+per-step checks row by row. A block grows to _BLOCK rows when no step
+calls user code, and is one row otherwise. A step leaves the loop only
+through the caller's on_step, in step order once its block is checked: a
+solve holds one block of rows at most, and its memory does not grow with
+the budget.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .contraction import (
     linear_comparison_axioms,
 )
 from .errors import EvaluationError, PreimageError, UsageError
-from .metric import MetricFn
+from .metric import MetricFn, WeightedMatrixMetric
 from .ordered_algebra import SquareMatrix, Vector, _rows, _same_dim, _shaped, _slack
 from .sampling import Sampler, _draw, _Report, _witnesses, cone_sampler
 
@@ -82,6 +87,13 @@ _STEP_SLACK = 1e-12
 # Excess of d(f x, f y) over its sampled bound that the Lipschitz and
 # condition-C checks forgive, relative to the sup norms of f x, f y, g x, g y.
 _GATE_SLACK = 1e-12
+
+# Most steps the solve loop takes in one block when no step calls user code.
+_BLOCK = 64
+
+# Fewest rows a block is screened at as a whole; a shorter one is checked
+# row by row, as its screens would cost more than the per-step tests.
+_SCREENED = 4
 
 _NON_FINITE_MAP = "map evaluation produced a non-finite value"
 
@@ -382,6 +394,25 @@ def _weakly_compatible(f: MapFn, g: MapFn, p: np.ndarray) -> bool:
     return _within(_sup(fgp - gfp), WEAK_COMPAT_TOL, fgp, gfp)
 
 
+def _next_block(dists: list, eps: np.ndarray) -> int:
+    """The rows of the block after one whose step distances are dists[1:].
+
+    Twice as many, up to _BLOCK, but no more than the steps that take the
+    last distance below eps / 2 at the block's mean contraction, so that
+    few steps are computed past a stop.
+    """
+    rows = len(dists) - 1
+    grown = min(2 * rows, _BLOCK)
+    if rows == 1:
+        return grown
+    first, last = float(np.add.reduce(dists[1], None)), float(np.add.reduce(dists[-1], None))
+    ratio = (last / first) ** (1.0 / (rows - 1)) if 0.0 < last < first else 1.0
+    if not 0.0 < ratio < 1.0:
+        return grown
+    reach = float(np.maximum.reduce(dists[-1] / eps, None))
+    return max(1, math.ceil(min(grown, math.log(2.0 * reach) / -math.log(ratio))))
+
+
 def _iterate(
     f: MapFn,
     g: MapFn | None,
@@ -409,11 +440,23 @@ def _iterate(
     and on 128 cone samples otherwise; every step distance must stay below phi of
     the previous one, and an exactly zero step ends the run at the current
     point. Each step goes to on_step, when given, before its checks, so a
-    step that breaks a hypothesis is seen too. One finiteness test per step
-    covers y (else EvaluationError), dist and bound (else UsageError),
-    whatever callable made them; the preimage residual test covers x and
-    g(x). Each per-step check is one numpy reduction, and only a failed one
-    runs the exact elementwise test, which raises the typed error.
+    step that breaks a hypothesis is seen too. A finiteness test covers y
+    (else EvaluationError), dist and bound (else UsageError), whatever
+    callable made them, and raises before that step reaches on_step; the
+    preimage residual test covers x and g(x).
+
+    Steps go in blocks when the step map is a MapSpec, the metric a
+    WeightedMatrixMetric and phi, if given, a LinearComparison; otherwise
+    every block is one step, so that user code runs once per step and never
+    ahead of on_step. A block runs the serial chain y, dist, bound step by
+    step on (1, n) rows. One of _SCREENED rows or more is then screened as
+    a whole: one finiteness reduction, one reduction that finds whether any
+    component of any step is below eps, which the step test needs, and under
+    phi one product of the stacked previous distances with G^T. A block
+    that passes goes to on_step at once, row by row; any other block runs
+    the per-step checks above on each row in turn. Rows past the step the
+    run ends at are dropped unseen. Blocks grow from one step as
+    _next_block says, up to _BLOCK.
     """
     n = getattr(metric, "n", x0.n)
     if x0.n != n or eps.n != n:
@@ -442,7 +485,8 @@ def _iterate(
     metric_raw = _lowered(metric, n)
     h = None if g is None else _value_map(f, g, g_solve)
     literal = g is not None and h is None  # x_{j+1} = g^-1(f x_j), solved at every step
-    step_raw = _lowered(f if h is None else h, n)
+    step_map = f if h is None else h
+    step_raw = _lowered(step_map, n)
     if g is not None:  # a user oracle gets the row as a frozen Vector
         g_raw = _lowered(g, n)
         solve = _lowered(g_solve, n, lambda row: g_solve(_vec(row)).components[None])
@@ -451,67 +495,115 @@ def _iterate(
             return _checked_preimage(solve, g_raw, g_solve, v)
 
     phi_raw = None if phi is None else _lowered(phi, n)
-    k_t = None if cert is None else cert.k.entries.T
-    steps = 0
+    # a block holds more than one step only where no step calls user code
+    blocked = (
+        not literal
+        and isinstance(step_map, MapSpec)
+        and isinstance(metric, WeightedMatrixMetric)
+        and (phi is None or isinstance(phi, LinearComparison))
+    )
+    # the bound's coefficient: k, or in a block phi's gain itself, as d and
+    # every bound lie in the cone (W > 0 and the screened gain is >= 0)
+    k_t = cert.k.entries.T if cert is not None else phi.gain.entries.T if blocked else None
     prev_d: np.ndarray | None = None
+    steps = j0 = 0
+    rows = 1
     residual: np.ndarray | None = None
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness tests catch overflow
-        for j in range(budget):
-            y = step_raw(x if literal else prev_val)
-            d_j = metric_raw(prev_val, y)
-            # keep M.T a view: a contiguous copy takes another BLAS path and moves bits
-            if j == 0:
-                bound = d_j if cert is None else d_j.dot(cert.S.entries.T)
+        while j0 < budget:
+            rows = min(rows, budget - j0)
+            # the serial chain, one (1, n) row per step
+            vals, dists, bounds = [prev_val], [prev_d], []
+            for j in range(j0, j0 + rows):
+                y = step_raw(x if literal else vals[-1])
+                d_j = metric_raw(vals[-1], y)
+                # keep M.T a view: a contiguous copy takes another BLAS path and moves bits
+                if j == 0:
+                    bound = d_j if cert is None else d_j.dot(cert.S.entries.T)
+                else:
+                    bound = phi_raw(bound) if k_t is None else bound.dot(k_t)
+                vals.append(y)
+                dists.append(d_j)
+                bounds.append(bound)
+            if blocked and rows >= _SCREENED and j0 > 0:  # step 0 has no previous distance
+                ds, bs = np.concatenate(dists), np.concatenate(bounds)
+                d = ds[1:]
+                # Each screen that holds of the whole block shows that no row
+                # needs the per-step check it stands for: every value is
+                # finite (a y that is not makes its d so, as W > 0); no
+                # component of a step is below eps (the step test needs every
+                # one below, and an exactly zero step has them all); no step
+                # exceeds G times the one before it (G is diagonal, so each
+                # entry of the product is the row's one rounding).
+                clean = (
+                    math.isfinite(np.add.reduce(d + bs, None))
+                    and not np.maximum.reduce(eps - d, None) > 0.0
+                    and (phi is None or np.maximum.reduce(d - ds[:-1].dot(k_t), None) <= _STEP_SLACK)
+                )
             else:
-                bound = phi_raw(bound) if cert is None else bound.dot(k_t)
-            if not math.isfinite(np.add.reduce(y + d_j + bound, None)):
-                if not np.isfinite(y).all():
-                    raise EvaluationError(_NON_FINITE_MAP)
-                _shaped(np.vstack((d_j, bound)))  # raises unless only the sum overflowed
-            if on_step is not None:
-                on_step(j, prev_val[0], d_j[0], bound[0])
-            steps = j + 1
-            if phi is not None:
-                if j >= 1:
-                    dominated = phi_raw(prev_d)
-                    over = d_j - dominated
-                    excess = float(np.maximum.reduce(over, None))
-                    # over's sum is finite unless phi's value is not, or the sum overflowed
-                    held = excess <= _STEP_SLACK and math.isfinite(np.add.reduce(over, None))
-                    if not held and not _within(excess, _STEP_SLACK, prev_val, y, _shaped(dominated)):
-                        status = SolveStatus.HYPOTHESIS_VIOLATED
-                        witness = {
-                            "stage": "online-step",
-                            "step": j,
-                            "step_dist": _vec(d_j),
-                            "previous_dist": _vec(prev_d),
-                            "comparison_value": _vec(dominated),
-                        }
-                        break
-                if not np.logical_or.reduce(d_j, None):
-                    # The current point is an exact coincidence point.
-                    status = SolveStatus.CONVERGED
+                clean = False
+            if clean:  # the block goes out at once
+                if on_step is not None:
+                    for i in range(rows):
+                        on_step(j0 + i, vals[i][0], dists[i + 1][0], bounds[i][0])
+                prev_val, prev_d = vals[-1], dists[-1]
+                x = prev_val if g is None else None
+            else:  # the per-step tests, row by row
+                for i in range(rows):
+                    j, y, d_j, bound = j0 + i, vals[i + 1], dists[i + 1], bounds[i]
+                    if not math.isfinite(np.add.reduce(y + d_j + bound, None)):
+                        if not np.isfinite(y).all():
+                            raise EvaluationError(_NON_FINITE_MAP)
+                        _shaped(np.vstack((d_j, bound)))  # raises unless only the sum overflowed
+                    if on_step is not None:
+                        on_step(j, prev_val[0], d_j[0], bound[0])
+                    steps = j + 1
+                    if phi is not None:
+                        if j >= 1:
+                            dominated = phi_raw(prev_d)
+                            over = d_j - dominated
+                            excess = float(np.maximum.reduce(over, None))
+                            # over's sum is finite unless phi's value is not, or the sum overflowed
+                            held = excess <= _STEP_SLACK and math.isfinite(np.add.reduce(over, None))
+                            if not held and not _within(excess, _STEP_SLACK, prev_val, y, _shaped(dominated)):
+                                status = SolveStatus.HYPOTHESIS_VIOLATED
+                                witness = {
+                                    "stage": "online-step",
+                                    "step": j,
+                                    "step_dist": _vec(d_j),
+                                    "previous_dist": _vec(prev_d),
+                                    "comparison_value": _vec(dominated),
+                                }
+                                break
+                        if not np.logical_or.reduce(d_j, None):
+                            # The current point is an exact coincidence point.
+                            status = SolveStatus.CONVERGED
+                            break
+                    # in value space a point is solved on step 0, so that an oracle
+                    # that misses PREIMAGE_TOL is refused at once, and then only
+                    # where the step test passes and at the exit
+                    if g is None:
+                        x_next = y
+                    else:
+                        x_next = lift(y) if literal or j == 0 else None
+                    # the step test comes first: it fails on all but the last few steps
+                    if np.minimum.reduce(eps - d_j, None) > 0.0 and (
+                        (cert is not None and np.minimum.reduce(eps - bound, None) > 0.0)
+                        or np.minimum.reduce(eps_half - d_j, None) > 0.0
+                    ):
+                        if x_next is None:
+                            x_next = lift(y)
+                        gap = metric(f(x_next), x_next if g is None else g(x_next))
+                        if (eps - gap > 0.0).all():
+                            status = SolveStatus.CONVERGED
+                            x, residual = x_next, gap
+                            break
+                    prev_val, prev_d, x = y, d_j, x_next
+                if status is not SolveStatus.BUDGET_EXHAUSTED:
                     break
-            # in value space a point is solved on step 0, so that an oracle
-            # that misses PREIMAGE_TOL is refused at once, and then only
-            # where the step test passes and at the exit
-            if g is None:
-                x_next = y
-            else:
-                x_next = lift(y) if literal or j == 0 else None
-            # the step test comes first: it fails on all but the last few steps
-            if np.minimum.reduce(eps - d_j, None) > 0.0 and (
-                (cert is not None and np.minimum.reduce(eps - bound, None) > 0.0)
-                or np.minimum.reduce(eps_half - d_j, None) > 0.0
-            ):
-                if x_next is None:
-                    x_next = lift(y)
-                gap = metric(f(x_next), x_next if g is None else g(x_next))
-                if (eps - gap > 0.0).all():
-                    status = SolveStatus.CONVERGED
-                    x, residual = x_next, gap
-                    break
-            prev_val, prev_d, x = y, d_j, x_next
+            j0 = steps = j0 + rows
+            if blocked and j0 < budget:
+                rows = _next_block(dists, eps)
     if x is None:  # every exit of a value-space run returns the point of its value
         x = lift(prev_val)
     value = x if g is None else g(x)
@@ -547,12 +639,14 @@ def perov_solve(
     d(f(point), point) strictly below eps componentwise.
 
     f and the metric are called on (1, n) stacks. on_step is the only way
-    to see the steps: given, each step j calls on_step(j, y, dist, bound) as
-    it is taken, with 1-d arrays: y the value the step starts from, dist the
-    distance from y to f(y), and bound the a-priori bound k^j S d_0 on the
-    distance from y to the limit. The arrays belong to the loop and must not
-    be modified; copy them to keep them. result.trace holds only the status
-    and the number of steps.
+    to see the steps: given, each step j calls on_step(j, y, dist, bound)
+    once, in step order, when the block of steps it belongs to is checked,
+    with 1-d arrays: y the value the step starts from, dist the distance
+    from y to f(y), and bound the a-priori bound k^j S d_0 on the distance
+    from y to the limit. A plain-function f or metric makes every block one
+    step, so it is never called ahead of on_step. The arrays belong to the
+    loop and must not be modified; copy them to keep them. result.trace
+    holds only the status and the number of steps.
     """
     return _iterate(f, None, None, metric, x0, eps, budget, cert=cert, on_step=on_step)
 
@@ -613,7 +707,9 @@ def comparison_solve(
     coincidence point and ends the run immediately. phi is called on (1, n)
     stacks like f, g and the metric; g_solve and on_step are used as in
     jungck_solve, except that bound is phi^j(d_0), an envelope of the step
-    distances and not an error bound. A run in value space, as in
+    distances and not an error bound. A LinearComparison is applied as its
+    gain product and checked a block of steps at a time; any other phi, like
+    a plain-function f, g or metric, makes every block one step. A run in value space, as in
     jungck_solve, returns with every status the point g_solve gives for the
     value its last step started from.
     """

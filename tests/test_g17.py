@@ -1,7 +1,8 @@
 """perov._g17 renders exactly what '%.17g' prints, and long solves print the same records.
 
 The iter records of a solve are rendered a chunk at a time; a partial last
-chunk goes through the per-record template. These tests compare the kernel
+chunk goes through the same kernel once a full one has loaded it, and
+through the per-record template otherwise. These tests compare the kernel
 with '%.17g' value by value, and the stdout of solves several chunks long
 with the per-record rendering of the same steps.
 """
@@ -73,6 +74,17 @@ def test_rows_carry_their_prefixes():
         "#REC n=3 y=0.25,-9.9999999999999995e-08\n",
         "#REC n=4 y=0.33333333333333331,0\n",
     ]
+
+
+def test_a_partial_table_renders_its_rows_alone():
+    # after a full table, a shorter one prints its own rows and nothing of the first
+    formatter = g17.RowFormatter(5, ["#REC n=", " y=", ","])
+    rng = np.random.default_rng(7)
+    full = rng.uniform(-1e3, 1e3, (5, 3))
+    full[:, 0] = np.arange(5)
+    assert formatter(full) == ["#REC n=%.17g y=%.17g,%.17g\n" % tuple(row) for row in full.tolist()]
+    part = np.array([[9.0, 1e-300, -0.0], [10.0, 2.0 / 3.0, 1e17]])
+    assert formatter(part) == ["#REC n=%.17g y=%.17g,%.17g\n" % tuple(row) for row in part.tolist()]
 
 
 def per_record(steps, n):
@@ -210,4 +222,34 @@ def test_iter_writer_flushes_a_partial_chunk_through_the_template():
             on_step(*step)
         assert out.writes == []
         flush()
+    assert out.writes == per_record(steps, n)
+
+
+def test_iter_writer_flushes_a_tail_through_the_loaded_kernel(monkeypatch):
+    # once a full chunk has loaded the kernel, the partial last chunk goes
+    # through it too, one write per record, byte for byte the template's text
+    n = 2
+    rows = chunk_rows(n)
+    rng = np.random.default_rng(11)
+    steps = [
+        (j, rng.uniform(-1e6, 1e6, n), 10.0 ** rng.uniform(-300, 0, n), rng.uniform(0, 1, n))
+        for j in range(rows + rows // 2)
+    ]
+    tables = []
+    real = g17.RowFormatter
+
+    class Counting(real):
+        def __call__(self, values):
+            tables.append(len(values))
+            return super().__call__(values)
+
+    monkeypatch.setattr(g17, "RowFormatter", Counting)
+    out = Writes()
+    with contextlib.redirect_stdout(out):
+        on_step, flush = _iter_writer(n)
+        for step in steps:
+            on_step(*step)
+        flush()
+        flush()  # a second flush has nothing left to write
+    assert tables == [rows, rows // 2]
     assert out.writes == per_record(steps, n)

@@ -778,16 +778,16 @@ def _in_value_space(parts):
     return _plain(values, *_CALLABLES)
 
 
-def _random_solve(kind, parts, **options):
-    """Solve parts with the named wrapper, at a budget of 500."""
+def _random_solve(kind, parts, budget=500, **options):
+    """Solve parts with the named wrapper."""
     f, g, solve, metric, x0, eps = (parts[key] for key in ("f", "g", "solve", "metric", "x0", "eps"))
     if kind == "perov":
         cert = certify_contraction(parts["k"], 1e-9)
-        return perov_solve(f, metric, cert, x0, eps, 500, **options)
+        return perov_solve(f, metric, cert, x0, eps, budget, **options)
     if kind == "jungck":
         cert = certify_contraction(parts["k"], 1e-9)
-        return jungck_solve(f, g, solve, metric, cert, x0, eps, 500, **options)
-    return comparison_solve(f, g, solve, parts["phi"], metric, x0, eps, 500, **options)
+        return jungck_solve(f, g, solve, metric, cert, x0, eps, budget, **options)
+    return comparison_solve(f, g, solve, parts["phi"], metric, x0, eps, budget, **options)
 
 
 def _assert_same_result(a, b):
@@ -844,6 +844,208 @@ def test_on_step_streams_what_the_trace_records(kind, seed):
     # and it ends where the literal steps end, to within the run's eps
     assert literal.trace.status is streamed.trace.status is SolveStatus.CONVERGED
     assert abs(streamed.value.components - literal.value.components).max() < 1e-10
+
+
+# -- steps in blocks -----------------------------------------------------------
+
+
+_BUDGETS = (1, 2, 3, perov.solver._BLOCK - 1, perov.solver._BLOCK, perov.solver._BLOCK + 1, 500)
+
+
+def _block_parts(seed):
+    """_random_parts with eps drawn from 1e-14 to 1e-2 and a gain from 0.3 to 0.99,
+    which the online check may refute. Every fourth f contracts by 0.999, so
+    that a pair runs out of budget in full blocks; every fourth other grows by 1e5
+    to 1e7 a step, so that a value overflows inside a block, and every
+    eighth, with a weight scaled by 1e100, overflows a distance first."""
+    parts = _random_parts(seed)
+    rng = np.random.default_rng(10_000 + seed)
+    n, f = parts["f"].n, parts["f"]
+    parts["eps"] = Vector.full(n, 10.0 ** rng.uniform(-14.0, -2.0))
+    parts["phi"] = linear_comparison(SquareMatrix.diagonal(np.full(n, rng.uniform(0.3, 0.99))))
+    if seed % 4 == 1:
+        m = SquareMatrix(f.M.entries * (0.999 / np.abs(np.linalg.eigvals(f.M.entries)).max()))
+        parts["f"], parts["k"] = MapSpec.affine(m, f.b), m
+    if seed % 4 == 3:
+        parts["f"] = MapSpec.affine(SquareMatrix(f.M.entries * 10.0 ** rng.uniform(5.0, 7.0)), f.b)
+    if seed % 8 == 7:
+        parts["metric"] = WeightedMatrixMetric(SquareMatrix(parts["metric"].weight.entries * 1e100))
+    return parts
+
+
+def _outcome(kind, parts, budget):
+    """The bytes of every on_step call, then the result or the typed error it ended with."""
+    stream = []
+
+    def on_step(j, y, dist, bound):
+        stream.append(np.int64(j).tobytes() + y.tobytes() + dist.tobytes() + bound.tobytes())
+
+    try:
+        end = _random_solve(kind, parts, budget, on_step=on_step)
+    except (EvaluationError, PreimageError, UsageError) as exc:
+        end = (type(exc), str(exc))
+    return stream, end
+
+
+def _assert_same_witness(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.keys() == b.keys()
+        for key, u in a.items():
+            v = b[key]
+            if isinstance(u, Vector):
+                assert u.components.tobytes() == v.components.tobytes(), key
+            else:
+                assert u == v, key
+
+
+def _assert_same_outcome(blocked, reference, lift=None):
+    """Two solves stream the same steps and end alike; lift maps the reference's point to the blocked one's."""
+    assert blocked[0] == reference[0]
+    a, b = blocked[1], reference[1]
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        assert a == b
+        return
+    assert a.trace == b.trace
+    _assert_same_witness(a.hypothesis_witness, b.hypothesis_witness)
+    if lift is None:
+        _assert_same_result(a, b)
+    else:
+        assert a.point.components.tobytes() == lift(b.point).components.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["perov", "jungck", "comparison"])
+def test_blocks_step_as_one_row_at_a_time(kind, monkeypatch):
+    # declarative callables step in blocks; plain functions, which the loop
+    # calls as user code, one row at a time. Both give the same steps, to the
+    # bit, and end at the same step with the same result or typed error, on
+    # budgets around the block sizes, eps from 1e-14 to 1e-2 and maps that
+    # overflow. A pair steps in value space, as h = f g^-1 from g(x0) does.
+    ends = set()
+    for seed in range(8):
+        parts = _block_parts(seed)
+        if kind == "perov":
+            reference, lift = _plain(parts, *_CALLABLES), None
+        else:
+            reference, lift = _in_value_space(parts), parts["solve"]
+        for budget in _BUDGETS:
+            blocked = _outcome(kind, parts, budget)
+            _assert_same_outcome(blocked, _outcome(kind, reference, budget), lift)
+            with monkeypatch.context() as one_row:
+                one_row.setattr(perov.solver, "_BLOCK", 1)
+                _assert_same_outcome(blocked, _outcome(kind, parts, budget))
+            end = blocked[1]
+            ends.add(end[0].__name__ if isinstance(end, tuple) else end.trace.status.value)
+    expected = {"converged", "budget_exhausted"}
+    expected |= {"hypothesis_violated"} if kind == "comparison" else {"EvaluationError", "UsageError"}
+    assert ends >= expected
+
+
+def test_a_short_solve_computes_few_steps_past_its_stop():
+    # blocks grow no further than the contraction seen so far says the run
+    # has to go: linear44's 84 steps and one gap evaluate f 85 times, not
+    # the 127 + 1 of blocks that only double
+    calls = []
+
+    class Counting(MapSpec):
+        def _raw(self, a):
+            calls.append(len(a))
+            return super()._raw(a)
+
+    pf = parse_problem(str(ROOT / "problems" / "linear44.prob"))
+    f = Counting(pf.f.kind, pf.f.M, pf.f.b)
+    res = perov_solve(f, WeightedMatrixMetric(pf.weight), certify_contraction(pf.k, 1e-9), pf.x0, pf.eps, pf.budget)
+    assert res.trace.iterations == 84
+    assert len(calls) <= res.trace.iterations + 2
+
+
+def _logging(fn, name, events):
+    def logged(*args):
+        events.append(name)
+        return fn(*args)
+
+    return logged
+
+
+@pytest.mark.parametrize(
+    ("kind", "plain"),
+    [("perov", "f"), ("perov", "metric"), ("comparison", "f"), ("comparison", "metric"), ("comparison", "phi")],
+)
+def test_a_library_callable_runs_once_per_step_in_step_order(kind, plain):
+    # a plain-function f, metric or phi is user code: the loop calls it for
+    # step j only after on_step has seen step j - 1, never ahead of a step
+    events = []
+    parts = {"f": scalar_map(0.5, 1.0), "metric": scalar_metric(), "phi": linear_comparison(mat([[0.6]]))}
+    parts[plain] = _logging(parts[plain], plain, events)
+    eps, budget = Vector.full(1, 1e-300), 20
+
+    def on_step(j, y, dist, bound):
+        events.append("step")
+
+    if kind == "perov":
+        cert = certify_contraction(mat([[0.5]]), 1e-9)
+        res = perov_solve(parts["f"], parts["metric"], cert, vec(8.0), eps, budget, on_step=on_step)
+        per_step = [["f", "metric", "step"]] * budget
+    else:
+        g = identity_map(1)
+        res = comparison_solve(
+            parts["f"], g, affine_preimage(g), parts["phi"], parts["metric"], vec(8.0), eps, budget,
+            on_step=on_step,
+        )
+        first = events.index("step")  # step 0 calls no phi: each phi before it is the axiom screen's
+        events[:first] = [name for name in events[:first] if name != "phi"]
+        # step j >= 1 applies phi to the bound, then to the last distance for the online check
+        per_step = [["f", "metric", "step"]] + [["f", "metric", "phi", "step", "phi"]] * (budget - 1)
+    assert res.trace.status is SolveStatus.BUDGET_EXHAUSTED and res.trace.iterations == budget
+    expected = [name for step in per_step for name in step] + ["f", "metric"]  # + the residual
+    assert events == [name for name in expected if name in (plain, "step")]
+
+
+def _deep_violation():
+    # the slow component, 1e-5 at the start, overtakes the fast one in the
+    # first distance component at step 40, where its ratio 0.95 breaks the gain 0.9
+    f = MapSpec.affine(mat([[0.95, 0.0], [0.0, 0.8]]), vec(0.0, 0.0))
+    metric = WeightedMatrixMetric(mat([[1.0, 1e-3], [1e-3, 1.0]]))
+    phi = linear_comparison(mat([[0.9, 0.0], [0.0, 0.9]]))
+    return f, identity_map(2), phi, metric, vec(1e-5, 1.0), Vector.full(2, 1e-12)
+
+
+def _comparison_case(case):
+    if case is _deep_violation:
+        return case()
+    f, g, x0, eps = case()
+    return f, g, linear_comparison(mat([[0.6]])), scalar_metric(), x0, eps
+
+
+@pytest.mark.parametrize(
+    ("case", "status", "step", "screened"),
+    [
+        (_deep_violation, SolveStatus.HYPOTHESIS_VIOLATED, 40, True),
+        (_atan_violation, SolveStatus.HYPOTHESIS_VIOLATED, 2, False),
+        (_zero_step, SolveStatus.CONVERGED, 24, True),
+    ],
+)
+def test_exits_inside_a_block_match_the_one_row_path(case, status, step, screened, monkeypatch):
+    # a breach of the online check and an exactly zero step, neither at the
+    # start of a block, end the run at that step with the witness and point
+    # of the one-row path, and after the same steps; the block is screened
+    # as a whole where it holds _SCREENED rows or more
+    f, g, phi, metric, x0, eps = _comparison_case(case)
+    parts = {"f": f, "g": g, "solve": affine_preimage(g), "phi": phi, "metric": metric, "x0": x0, "eps": eps}
+    sizes = [1]
+    with monkeypatch.context() as spy:
+        sizing = perov.solver._next_block
+        spy.setattr(perov.solver, "_next_block", lambda *args: sizes.append(sizing(*args)) or sizes[-1])
+        blocked = _outcome("comparison", parts, 500)
+    starts = np.cumsum([0] + sizes)
+    block = int(np.searchsorted(starts, step, side="right")) - 1
+    assert starts[block] < step and (sizes[block] >= perov.solver._SCREENED) is screened
+    assert blocked[1].trace == IterationTrace(status, step + 1)
+    if status is SolveStatus.HYPOTHESIS_VIOLATED:
+        assert blocked[1].hypothesis_witness["step"] == step
+    _assert_same_outcome(blocked, _outcome("comparison", _plain(parts, "phi", "metric"), 500))
+    monkeypatch.setattr(perov.solver, "_BLOCK", 1)
+    _assert_same_outcome(blocked, _outcome("comparison", parts, 500))
 
 
 def test_streamed_trace_holds_no_rows():
