@@ -472,8 +472,8 @@ def test_defaults_when_no_options_are_given():
 
 
 def test_sampled_commands_leave_numpy_random_and_argparse_unimported():
-    # numpy.random (~15 ms to import) is not needed, since the samplers
-    # reproduce its stream, and argparse's first gettext call imports locale
+    # numpy.random (~15 ms to import) is not needed, since no shipped
+    # command builds a sampler, and argparse's first gettext call imports locale
     # (~2.5 ms per run); the closed-form gates compute on Python ints, not
     # fractions or decimal (~2 ms to import); no shipped solve fills a chunk
     # of iter records, so none loads their renderer, perov._g17; only a fresh

@@ -1281,3 +1281,20 @@ def test_linear44_converged_point_is_within_eps():
     assert res.trace.status is SolveStatus.CONVERGED
     error = metric(res.point, vec(4.0, 4.0))
     assert np.all(error.components < pf.eps.components)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_weakly_compatible compares f(g p) with g(f p) within WEAK_COMPAT_TOL, "
+    "whose absolute floor of 1e-8 passes a pair that commutes only up to 1e-9",
+)
+def test_a_pair_without_a_common_fixed_point_reports_none():
+    # f x = x/3 and g x = x/2 + 1e-9 coincide only at 0, and g 0 = 1e-9 != 0,
+    # so the pair has no common fixed point; it converges in 61 steps
+    text = (ROOT / "problems" / "jungck-thirds.prob").read_text()
+    pf = parse_problem_text(text.replace("g.b = 0", "g.b = 1e-9"))
+    metric, cert = WeightedMatrixMetric(pf.weight), certify_contraction(pf.k, 1e-9)
+    res = jungck_solve(pf.f, pf.g, affine_preimage(pf.g), metric, cert, pf.x0, pf.eps, pf.budget)
+    assert res.trace.status is SolveStatus.CONVERGED
+    assert res.weakly_compatible is False
+    assert res.common_fixed_point is None
