@@ -407,53 +407,51 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison:
     return phi
 
 
-# Values per rendered chunk of iter records; shorter runs are never chunked.
+# Values per rendered chunk of iter records, step indices counted; shorter runs are never chunked.
 _CHUNK_VALUES = 4096
 
 
 def _iter_writer(n: int):
     """A solver's on_step that writes the iter records, and the flush for the last ones.
 
-    Each step's j, y, dist and bound are copied into a chunk of about
-    _CHUNK_VALUES doubles; a full chunk is rendered at once by perov._g17,
-    imported with the first one, which prints exactly what '%.17g' prints.
+    Each step's y, dist and bound are copied into a chunk of about
+    _CHUNK_VALUES values with the step indices; a full chunk is rendered at
+    once by perov._g17, imported with the first one, which prints exactly
+    what '%.17g' prints, and each record is a step index and its row's text.
     flush writes the steps of a partial chunk through the same kernel once
     it is loaded, and through the per-record template in a solve that never
     filled a chunk, so that such a solve never imports it. Each record is
     one write, so once flushed, a solve that fails part way has printed the
     records of every step it took.
     """
-    vec = _vec_template(n)
-    line = f"#REC kind=iter n=%d y={vec} dist={vec} bound={vec}\n"
+    vector = [","] * (n - 1)
+    prefixes = [" y=", *vector, " dist=", *vector, " bound=", *vector]
+    line = "#REC kind=iter n=%d" + "".join(p + "%.17g" for p in prefixes) + "\n"
     write = sys.stdout.write
-    chunk = np.empty((-(-_CHUNK_VALUES // (3 * n + 1)), 3 * n + 1))
-    rows, steps = chunk[:, 1:], []
+    chunk = np.empty((-(-_CHUNK_VALUES // (3 * n + 1)), 3 * n))
+    steps = []
     render = None
 
     def emit():  # the steps of the chunk's first rows, through the kernel
-        table = chunk[: len(steps)]
-        table[:, 0] = steps
+        table, taken = chunk[: len(steps)], steps.copy()
         steps.clear()
-        for text in render(table):
-            write(text)
+        for j, text in zip(taken, render(table)):
+            write("#REC kind=iter n=%d%s" % (j, text))
 
     def on_step(j, y, dist, bound):
         nonlocal render
-        np.concatenate((y, dist, bound), out=rows[len(steps)])
+        np.concatenate((y, dist, bound), out=chunk[len(steps)])
         steps.append(j)
-        if len(steps) == len(rows):
+        if len(steps) == len(chunk):
             if render is None:
                 from ._g17 import RowFormatter
 
-                vector = [","] * (n - 1)
-                render = RowFormatter(
-                    len(rows), ["#REC kind=iter n=", " y=", *vector, " dist=", *vector, " bound=", *vector]
-                )
+                render = RowFormatter(len(chunk), prefixes)
             emit()
 
     def flush():
         if render is None:
-            for j, row in zip(steps, rows[: len(steps)].tolist()):
+            for j, row in zip(steps, chunk[: len(steps)].tolist()):
                 write(line % (j, *row))
             steps.clear()
         elif steps:

@@ -60,7 +60,7 @@ def _decide(f: MapSpec, g: MapSpec, gain: SquareMatrix, weight: SquareMatrix):
     try:
         gap = smallest / (1 << u)  # int / int rounds to nearest
     except OverflowError:
-        gap = math.copysign(math.inf, smallest)
+        gap = math.inf if smallest > 0 else -math.inf
     return (diff < 0).any(axis=0), gap
 
 

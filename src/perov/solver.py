@@ -234,7 +234,10 @@ def _value_map(f, g, g_solve) -> MapSpec | None:
     m, b = (f.M, f.b) if f.kind == "affine" else (f.L, f.d)
     m, b = m.entries, b.components
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.linalg.solve(g.M.entries.T, m.T).T
+        try:
+            a = np.linalg.solve(g.M.entries.T, m.T).T
+        except np.linalg.LinAlgError:  # numpy reports an overflow in the solve as singular
+            return None
         c = b - a.dot(g.b.components) if g.b.components.any() else b
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
         return None

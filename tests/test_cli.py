@@ -205,6 +205,33 @@ def test_map_group_key_rules():
         parse_problem_text(MINIMAL.replace("f.kind = affine", "f.kind = fancy"))
 
 
+CW_SINH = MINIMAL.replace(
+    "f.kind = affine\n", "f.kind = componentwise-nonlinear\nf.L = 1\nf.d = 0\nf.tags = sinh\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (MINIMAL.replace("n = 1", "n = 1.5"), "<string>:2: n: cannot parse '1.5' as an integer"),
+        (MINIMAL.replace("n = 1", "n = 0"), "<string>:2: n: must be at least 1"),
+        (MINIMAL + "budget = 0\n", "<string>:10: budget: must be at least 1"),
+        (MINIMAL + "seed = -1\n", "<string>:10: seed: must be at least 0"),
+        (MINIMAL.replace("f.b = 1\n", ""), "<string>:4: f: missing ['f.b']"),
+        (CW_SINH, "<string>:4: f: unknown tags ['sinh']; catalog: ['atan', 'cos', 'identity', 'sin', 'tanh']"),
+        (MINIMAL + "budget =\n", "<string>:10: empty key or value"),
+        (MINIMAL + "= 3\n", "<string>:10: empty key or value"),
+        (MINIMAL.replace("f.kind = affine\nf.M = 0.5\nf.b = 1\n", ""), "<string>: missing map f"),
+    ],
+    ids=["n-fraction", "n-zero", "budget-zero", "seed-negative", "missing-b", "unknown-tag",
+         "empty-value", "empty-key", "no-f"],
+)
+def test_refusals_name_the_key_and_its_line(text, message):
+    with pytest.raises(UsageError) as info:
+        parse_problem_text(text)
+    assert str(info.value) == message
+
+
 def test_round_trip_is_canonical():
     pf = parse_problem_text(PLANAR)
     emitted = format_problem(pf)
@@ -368,6 +395,84 @@ def test_sampled_checks_do_not_invert_g(tmp_path, capsys, command, gain, record)
     code = run(["solve-jungck", write(tmp_path, SINGULAR_G)])
     assert code == EXIT_USAGE
     assert "map matrix is singular; supply a preimage oracle" in capsys.readouterr().err
+
+
+OVERFLOWING_GAP = """\
+n = 1
+W = 1e308
+f.kind = affine
+f.M = 0
+f.b = 1
+g.kind = affine
+g.M = 1e308
+g.b = 0
+k = 0.5
+x0 = 0
+eps = 1e-10
+"""
+
+
+def test_exact_gate_reports_a_gap_beyond_the_doubles_as_inf(tmp_path, capsys):
+    # k W |D| - W |M| is about 5e615, beyond the largest double
+    assert run(["verify-lipschitz", write(tmp_path, OVERFLOWING_GAP)]) == EXIT_OK
+    assert "#REC kind=lipschitz samples=0 violations=0 method=exact gap=inf verdict=pass\n" in (
+        capsys.readouterr().out
+    )
+
+
+def test_exact_gate_with_an_overflowing_witness_falls_back_to_a_typed_failure(tmp_path, capsys):
+    # the refutation's gap is -inf and its float witness overflows; sampling
+    # then meets a map value that is not finite
+    text = OVERFLOWING_GAP.replace("f.M = 0\n", "f.M = 1e308\n").replace("g.M = 1e308\n", "g.M = 1\n")
+    assert run(["verify-lipschitz", write(tmp_path, text)]) == EXIT_HYPOTHESIS
+    assert "evaluation failure: map evaluation produced a non-finite value\n" in capsys.readouterr().out
+
+
+def generated_problem(rng):
+    """A problem file of dimension 1-3 whose entries are log-uniform over 1e-308..1e308."""
+    n = int(rng.integers(1, 4))
+
+    def num(signed=True):
+        if rng.random() < 0.1:
+            return [1e308, -1e308 if signed else 1e308, 1e-308][rng.integers(3)]
+        x = 10.0 ** rng.uniform(-308.0, 308.0)
+        return -x if signed and rng.random() < 0.5 else x
+
+    def vec(signed=True):
+        return ", ".join(repr(num(signed)) for _ in range(n))
+
+    def mat(signed=True):
+        return "; ".join(vec(signed) for _ in range(n))
+
+    def spec(name, kind):
+        lines = [f"{name}.kind = {kind}", f"{name}.M = {mat()}", f"{name}.b = {vec()}"]
+        if kind != "affine":
+            tags = rng.choice(["identity", "sin", "cos", "tanh", "atan"], n)
+            lines += [f"{name}.L = {mat()}", f"{name}.d = {vec()}", f"{name}.tags = {', '.join(tags)}"]
+        return lines
+
+    lines = [f"n = {n}", f"W = {mat(False)}"]
+    lines += spec("f", ["affine", "componentwise-nonlinear"][rng.integers(2)])
+    g = rng.integers(3)
+    if g == 1:
+        lines += spec("g", "affine")
+    elif g == 2:
+        lines += spec("g", "componentwise-nonlinear") + spec("g_solve", "affine")
+    lines.append(f"{['k', 'lambda'][rng.integers(2)]} = {mat(False)}")
+    lines += [f"x0 = {vec()}", f"eps = {vec(False)}", "budget = 20", f"seed = {rng.integers(1000)}"]
+    return "\n".join(lines) + "\n"
+
+
+# numpy's RuntimeWarnings are ignored: some overflows warn before they are
+# typed as a usage error (an overflowing metric in the sampled Lipschitz gate)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generated_files_end_with_a_typed_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(2300)
+    for _ in range(200):
+        path = write(tmp_path, generated_problem(rng))
+        for command in _HANDLERS:
+            assert run([command, path, "--samples", "50"]) in (0, 2, 3, 64), (command, open(path).read())
+        capsys.readouterr()
 
 
 def test_run_solve_gate_blocks_bad_hypothesis(tmp_path, capsys):

@@ -3,8 +3,9 @@
 The iter records of a solve are rendered a chunk at a time; a partial last
 chunk goes through the same kernel once a full one has loaded it, and
 through the per-record template otherwise. These tests compare the kernel
-with '%.17g' value by value, and the stdout of solves several chunks long
-with the per-record rendering of the same steps.
+with '%.17g' value by value, check that few values leave its product for
+'%.17g' itself, and compare the stdout of solves several chunks long with
+the per-record rendering of the same steps.
 """
 
 import contextlib
@@ -59,6 +60,33 @@ def test_short_long_double_prints_every_value_through_percent_17g(monkeypatch):
     monkeypatch.setattr(g17, "_EXACT", False)
     values = np.concatenate(list(samples().values()))
     assert rendered(values) == expected(values)
+
+
+@pytest.mark.skipif(not g17._EXACT, reason="without a 64-bit long double every value takes '%.17g'")
+def test_only_near_ties_and_values_of_10_or_more_take_percent_17g(monkeypatch):
+    # values shaped like a long solve's records: y in [-3, 3], dist and bound
+    # log-uniform over [1e-13, 10); near-ties alone send about 1-3 % of them
+    # to '%.17g'. Every value of 10 or more goes there too.
+    taken = []
+    real = g17._fallback
+
+    def counting(values):
+        taken.extend(values)
+        return real(values)
+
+    monkeypatch.setattr(g17, "_fallback", counting)
+    rng = np.random.default_rng(23)
+    y = rng.uniform(-3.0, 3.0, (2_000, 8))
+    dist, bound = 10.0 ** rng.uniform(-13.0, 1.0, (2, 2_000, 8))
+    wide = np.concatenate([np.arange(10.0, 100.0), 10.0 ** rng.uniform(1.0, 300.0, 1_910)])
+    wide *= rng.choice([-1.0, 1.0], wide.size)
+    table = np.hstack((y, dist, bound, wide.reshape(2_000, -1)))
+    assert g17.RowFormatter(len(table), [" "] * table.shape[1])(table) == [
+        "".join(" %.17g" % x for x in row) + "\n" for row in table.tolist()
+    ]
+    small = np.concatenate((y, dist, bound), axis=None)
+    assert set(wide.tolist()) <= set(taken)
+    assert len(taken) - wide.size <= 0.05 * small.size
 
 
 def test_power_table_is_exact():

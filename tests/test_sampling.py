@@ -14,7 +14,7 @@ from perov import (
     interior_sampler,
     uniform_sampler,
 )
-from perov.sampling import _witnesses
+from perov.sampling import _draw, _witnesses
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -82,6 +82,23 @@ def test_uniform_bounds_must_have_a_finite_width():
 def test_cone_bound_must_be_finite():
     with pytest.raises(UsageError, match="finite"):
         cone_sampler(1, high=math.inf)
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (lambda: uniform_sampler(0), "sampler dimension must be at least 1"),
+        (lambda: uniform_sampler(1, low=1.0, high=1.0), "sampler bounds must satisfy low < high"),
+        (lambda: cone_sampler(1, high=0.0), "cone sampler needs high > 0"),
+        (lambda: interior_sampler(1, low=0.0), "interior sampler needs low > 0"),
+        (lambda: _draw(uniform_sampler(1), 0, 2), "sample count must be at least 1"),
+    ],
+    ids=["dimension", "empty-range", "cone-high", "interior-low", "count"],
+)
+def test_sampler_refusals(make, message):
+    with pytest.raises(UsageError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_uniform_sampler_range_and_shape():

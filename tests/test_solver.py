@@ -112,6 +112,29 @@ def test_map_validation():
         f(vec(1.0))
 
 
+ONE, ZERO = SquareMatrix.identity(1), Vector.zeros(1)
+
+
+@pytest.mark.parametrize(
+    ("inner", "message"),
+    [
+        (dict(d=ZERO, tags=("sin",)), "componentwise maps need L, d, and tags"),
+        (dict(L=ONE, tags=("sin",)), "componentwise maps need L, d, and tags"),
+        (dict(L=ONE, d=ZERO), "componentwise maps need L, d, and tags"),
+        (
+            dict(L=SquareMatrix.identity(2), d=ZERO, tags=("sin",)),
+            "inner affine stage dimension must match the matrix",
+        ),
+        (dict(L=ONE, d=ZERO, tags=("sin", "cos")), "one tag per component is required"),
+    ],
+    ids=["no-L", "no-d", "no-tags", "L-size", "two-tags"],
+)
+def test_componentwise_map_refusals(inner, message):
+    with pytest.raises(UsageError) as info:
+        MapSpec(kind="componentwise-nonlinear", M=ONE, b=ZERO, **inner)
+    assert str(info.value) == message
+
+
 def test_map_rejects_overflow():
     f = scalar_map(1e308, 0.0)
     with pytest.raises(EvaluationError):
@@ -532,6 +555,34 @@ def test_value_map_is_f_for_the_identity_and_absent_on_every_fallback():
         (scalar_map(0.5, 1.0), cw, lambda y: y),
     ]:
         assert perov.solver._value_map(*pair) is None
+
+
+def _overflowing_fold():
+    # affine_preimage accepts g, but the fold M_f M_g^-1 overflows inside
+    # numpy's solve, which reports it as a singular matrix
+    g = MapSpec.affine(
+        mat([[1.0, 1e300, 1e300], [-1e308, 1e308, -1e308], [1e-300, 1.0, 0.5]]), Vector.full(3, 0.0)
+    )
+    f = MapSpec.affine(
+        mat([[1.0, 0.5, 1.7e308], [1e-300, 1.7e308, 0.5], [1e-308, 1e-308, 1e308]]), Vector.full(3, 0.0)
+    )
+    metric = WeightedMatrixMetric(mat(np.ones((3, 3))))
+    return f, g, metric, certify_contraction(mat(0.5 * np.eye(3)), 1e-9)
+
+
+def test_value_map_is_absent_when_the_fold_overflows_in_the_solve():
+    f, g, _, _ = _overflowing_fold()
+    assert perov.solver._value_map(f, g, affine_preimage(g)) is None
+
+
+def test_jungck_takes_the_literal_steps_when_the_fold_overflows():
+    f, g, metric, cert = _overflowing_fold()
+    eps = Vector.full(3, 1e-10)
+    # from x0 = 1 the first step's distance overflows and the run is refused
+    with pytest.raises(UsageError, match="entries must be finite"):
+        jungck_solve(f, g, affine_preimage(g), metric, cert, Vector.full(3, 1.0), eps)
+    res = jungck_solve(f, g, affine_preimage(g), metric, cert, Vector.full(3, 0.0), eps)
+    assert res.trace == IterationTrace(SolveStatus.CONVERGED, 1)
 
 
 def _atan_violation():
