@@ -599,7 +599,8 @@ commands:
 
 options, before, between or after COMMAND and PROBLEM (the last one given wins):
   --samples N, --samples=N  samples per gate that samples, an integer >= 1
-                            (default 1000)
+                            (default 1000); a gate that would draw more than
+                            2**24 values (2 n per sample) exits 64
   --tol T, --tol=T          certification margin, a number with 0 < T < 1
                             (default 1e-9)
   -h, --help                print this text and exit

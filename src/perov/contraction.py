@@ -138,7 +138,8 @@ def certify_contraction(a: SquareMatrix, tol: float) -> ContractionCertificate:
         s = np.linalg.solve(eye - k, eye)
     except np.linalg.LinAlgError:
         raise NotCertifiedError(rho, "not certified: 1 - k is singular") from None
-    residual = float(np.max(np.sum(np.abs((eye - k) @ s - eye), axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite fails below
+        residual = float(np.max(np.sum(np.abs((eye - k) @ s - eye), axis=1)))
     if not residual <= CERT_RESIDUAL_MAX:
         raise NotCertifiedError(
             rho,
@@ -214,7 +215,10 @@ def linear_comparison(gain: SquareMatrix, tol: float = 1e-9) -> LinearComparison
 
 def comparison_apply(phi: LinearComparison, t):
     """Apply a linear comparison function to a cone Vector or a (count, n) stack."""
-    return _shaped(phi._raw(_rows(t, phi.n)))
+    # overflow becomes a typed error in _shaped, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = phi._raw(_rows(t, phi.n))
+    return _shaped(raw)
 
 
 @dataclass
@@ -293,8 +297,10 @@ def linear_comparison_axioms(gain: SquareMatrix) -> ComparisonAxiomReport:
     failed = (off > 0.0) | (diagonal >= 1.0)
     t = np.eye(n) + np.where(off > 0.0, off, 1.0)[:, None]
     gap = min(float((1.0 - diagonal).min()), -float(off.max()) if off.any() else math.inf)
+    with np.errstate(over="ignore"):  # an overflowing G t is refused as not finite, not warned about
+        gt = t @ g.T
     return ComparisonAxiomReport(
-        0, _witnesses(failed, np.eye(n), g.T), interior_violations=_witnesses(failed, t, t @ g.T),
+        0, _witnesses(failed, np.eye(n), g.T), interior_violations=_witnesses(failed, t, gt),
         method="exact", gap=gap,
     )
 

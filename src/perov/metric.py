@@ -52,7 +52,10 @@ class WeightedMatrixMetric:
 
 def metric_eval(m: WeightedMatrixMetric, x, y):
     """Weighted distance, in the cone, of two Vectors or row by row of two stacks."""
-    return _shaped(m._raw(_rows(x, m.n), _rows(y, m.n)))
+    # overflow becomes a typed error in _shaped, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = m._raw(_rows(x, m.n), _rows(y, m.n))
+    return _shaped(raw)
 
 
 @dataclass

@@ -21,16 +21,21 @@ import numpy as np
 from .errors import UsageError
 from .ordered_algebra import Vector
 
-__all__ = ["uniform_sampler", "cone_sampler", "interior_sampler"]
+__all__ = ["uniform_sampler", "cone_sampler", "interior_sampler", "DRAW_LIMIT"]
 
 Sampler = Callable[[int], np.ndarray]
+
+# Most values one draw gives: 128 MiB of doubles. A larger draw is refused
+# before anything is allocated.
+DRAW_LIMIT = 2**24
 
 
 def uniform_sampler(n: int, seed: int = 0, low: float = -10.0, high: float = 10.0) -> Sampler:
     """Points of R^n with independent uniform components in [low, high).
 
     The seed is a nonnegative int; the points are those of numpy's
-    default_rng(seed).uniform(low, high, (count, n)).
+    default_rng(seed).uniform(low, high, (count, n)). A draw of more than
+    DRAW_LIMIT values (count * n) is a usage error.
     """
     if n < 1:
         raise UsageError("sampler dimension must be at least 1")
@@ -49,6 +54,10 @@ def uniform_sampler(n: int, seed: int = 0, low: float = -10.0, high: float = 10.
 
     def draw(count: int) -> np.ndarray:
         nonlocal rng
+        if count * n > DRAW_LIMIT:
+            raise UsageError(
+                f"a draw of {count} points in R^{n} exceeds the limit of {DRAW_LIMIT} values"
+            )
         if rng is None:
             from numpy.random import default_rng
 

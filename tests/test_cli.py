@@ -463,9 +463,6 @@ def generated_problem(rng):
     return "\n".join(lines) + "\n"
 
 
-# numpy's RuntimeWarnings are ignored: some overflows warn before they are
-# typed as a usage error (an overflowing metric in the sampled Lipschitz gate)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_generated_files_end_with_a_typed_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(2300)
     for _ in range(200):
@@ -473,6 +470,43 @@ def test_generated_files_end_with_a_typed_exit_code(tmp_path, capsys):
         for command in _HANDLERS:
             assert run([command, path, "--samples", "50"]) in (0, 2, 3, 64), (command, open(path).read())
         capsys.readouterr()
+
+
+METRIC_OVERFLOW = """\
+n = 1
+W = 1e308
+f.kind = affine
+f.M = 1e300
+f.b = 0
+k = 0.5
+x0 = 0
+eps = 1e-10
+"""
+
+
+@pytest.mark.parametrize("command", ["verify-lipschitz", "solve-perov"])
+def test_an_overflowing_metric_is_a_usage_error_without_a_numpy_warning(tmp_path, command):
+    # the exact gate cannot size W |M| = 1e608, so the sampled gate runs and
+    # its distances overflow; stderr holds the typed error line alone
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "perov", command, write(tmp_path, METRIC_OVERFLOW)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "usage error: entries must be finite\n")
+
+
+def test_a_sampled_gate_over_the_draw_limit_exits_64_at_once(tmp_path, capsys):
+    # a non-diagonal g leaves verify-lipschitz to the sampled gate, whose
+    # 2 * 10**12 points in R^2 are refused before anything is allocated
+    path = write(tmp_path, PLANAR + "g.kind = affine\ng.M = 1, 0.5; 0, 1\ng.b = 0, 0\n")
+    start = time.perf_counter()
+    code = run(["verify-lipschitz", path, "--samples", "1000000000000"])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: a draw of 2000000000000 points in R^2 exceeds the limit of 16777216 values\n"
+    )
 
 
 def test_run_solve_gate_blocks_bad_hypothesis(tmp_path, capsys):

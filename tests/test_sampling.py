@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from perov import (
     interior_sampler,
     uniform_sampler,
 )
-from perov.sampling import _draw, _witnesses
+from perov.sampling import DRAW_LIMIT, _draw, _witnesses
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -99,6 +100,23 @@ def test_sampler_refusals(make, message):
     with pytest.raises(UsageError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("count", [DRAW_LIMIT // 2 + 1, 10**12])
+def test_a_draw_over_the_limit_is_refused_before_it_allocates(count):
+    # a draw holds at most DRAW_LIMIT values, 2**24 as the CLI's help says;
+    # a larger one is refused before any array is made, and draws nothing
+    assert DRAW_LIMIT == 2**24
+    draw = uniform_sampler(2, seed=7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=f"exceeds the limit of {DRAW_LIMIT} values"):
+            draw(count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(draw(3), np.random.default_rng(7).uniform(-10.0, 10.0, (3, 2)))
 
 
 def test_uniform_sampler_range_and_shape():

@@ -992,22 +992,65 @@ def test_blocks_step_as_one_row_at_a_time(kind, monkeypatch):
     assert ends >= expected
 
 
-def test_a_short_solve_computes_few_steps_past_its_stop():
-    # blocks grow no further than the contraction seen so far says the run
-    # has to go: linear44's 84 steps and one gap evaluate f 85 times, not
-    # the 127 + 1 of blocks that only double
-    calls = []
+def _doubling_blocks(budget):
+    """The (start, rows) of each block of a blocked run: 1, 2, 4, ... rows up to _BLOCK, within the budget."""
+    blocks, start, rows = [], 0, 1
+    while start < budget:
+        rows = min(rows, budget - start)
+        blocks.append((start, rows))
+        start, rows = start + rows, min(2 * rows, perov.solver._BLOCK)
+    return blocks
 
-    class Counting(MapSpec):
-        def _raw(self, a):
-            calls.append(len(a))
-            return super()._raw(a)
 
-    pf = parse_problem(str(ROOT / "problems" / "linear44.prob"))
-    f = Counting(pf.f.kind, pf.f.M, pf.f.b)
-    res = perov_solve(f, WeightedMatrixMetric(pf.weight), certify_contraction(pf.k, 1e-9), pf.x0, pf.eps, pf.budget)
-    assert res.trace.iterations == 84
-    assert len(calls) <= res.trace.iterations + 2
+def _block_of(step, budget):
+    return next((start, rows) for start, rows in _doubling_blocks(budget) if start <= step < start + rows)
+
+
+def _counting(metric, rows):
+    """metric, with the size of each stack the solve loop's unchecked form computes appended to rows;
+    its checked calls, as for the residual at a stop, go to metric itself and are not counted."""
+
+    class Counting(WeightedMatrixMetric):
+        def _raw(self, a, b):
+            rows.append(len(a))
+            return super()._raw(a, b)
+
+        def __call__(self, x, y):
+            return metric(x, y)
+
+    return Counting(metric.weight)
+
+
+def _shipped_solve(name, command, metric):
+    pf = parse_problem(str(ROOT / "problems" / f"{name}.prob"))
+    metric = metric(WeightedMatrixMetric(pf.weight))
+    if command == "solve-perov":
+        return perov_solve(pf.f, metric, certify_contraction(pf.k, 1e-9), pf.x0, pf.eps, pf.budget), pf
+    g = pf.g or identity_map(pf.n)
+    g_solve = pf.g_solve or affine_preimage(g)
+    if command == "solve-jungck":
+        cert = certify_contraction(pf.k, 1e-9)
+        return jungck_solve(pf.f, g, g_solve, metric, cert, pf.x0, pf.eps, pf.budget), pf
+    phi = linear_comparison(pf.lam, 1e-9)
+    return comparison_solve(pf.f, g, g_solve, phi, metric, pf.x0, pf.eps, pf.budget), pf
+
+
+_SHIPPED_SOLVES = sorted(
+    tuple(path.name.split(".")[:2]) for path in (ROOT / "tests" / "golden").glob("*.solve-*.rec")
+)
+
+
+@pytest.mark.parametrize(("name", "command"), _SHIPPED_SOLVES)
+def test_a_shipped_solve_computes_fewer_than_a_block_past_its_stop(name, command):
+    # blocks double from one row up to _BLOCK and a run stops inside its
+    # last one, so it computes at most _BLOCK - 1 rows past its stop
+    rows = []
+    res, pf = _shipped_solve(name, command, lambda metric: _counting(metric, rows))
+    steps = res.trace.iterations
+    assert set(rows) == {1}
+    start, size = _block_of(steps - 1, pf.budget)
+    assert len(rows) == start + size
+    assert steps <= len(rows) <= steps + perov.solver._BLOCK - 1
 
 
 def _logging(fn, name, events):
@@ -1069,31 +1112,29 @@ def _comparison_case(case):
 
 
 @pytest.mark.parametrize(
-    ("case", "status", "step", "screened"),
+    ("case", "status", "step"),
     [
-        (_deep_violation, SolveStatus.HYPOTHESIS_VIOLATED, 40, True),
-        (_atan_violation, SolveStatus.HYPOTHESIS_VIOLATED, 2, False),
-        (_zero_step, SolveStatus.CONVERGED, 24, True),
+        (_deep_violation, SolveStatus.HYPOTHESIS_VIOLATED, 40),
+        (_atan_violation, SolveStatus.HYPOTHESIS_VIOLATED, 2),
+        (_zero_step, SolveStatus.CONVERGED, 24),
     ],
 )
-def test_exits_inside_a_block_match_the_one_row_path(case, status, step, screened, monkeypatch):
+def test_exits_inside_a_block_match_the_one_row_path(case, status, step, monkeypatch):
     # a breach of the online check and an exactly zero step, neither at the
     # start of a block, end the run at that step with the witness and point
-    # of the one-row path, and after the same steps; the block is screened
-    # as a whole where it holds _SCREENED rows or more
+    # of the one-row path, and after the same steps; every block after step
+    # 0's is screened as a whole, so each of these fails its block's screen
     f, g, phi, metric, x0, eps = _comparison_case(case)
     parts = {"f": f, "g": g, "solve": affine_preimage(g), "phi": phi, "metric": metric, "x0": x0, "eps": eps}
-    sizes = [1]
-    with monkeypatch.context() as spy:
-        sizing = perov.solver._next_block
-        spy.setattr(perov.solver, "_next_block", lambda *args: sizes.append(sizing(*args)) or sizes[-1])
-        blocked = _outcome("comparison", parts, 500)
-    starts = np.cumsum([0] + sizes)
-    block = int(np.searchsorted(starts, step, side="right")) - 1
-    assert starts[block] < step and (sizes[block] >= perov.solver._SCREENED) is screened
+    start, size = _block_of(step, 500)
+    assert 0 < start < step
+    rows = []
+    blocked = _outcome("comparison", dict(parts, metric=_counting(metric, rows)), 500)
+    assert len(rows) == start + size  # the run stepped in doubling blocks up to the exit's
     assert blocked[1].trace == IterationTrace(status, step + 1)
     if status is SolveStatus.HYPOTHESIS_VIOLATED:
         assert blocked[1].hypothesis_witness["step"] == step
+    _assert_same_outcome(blocked, _outcome("comparison", parts, 500))
     _assert_same_outcome(blocked, _outcome("comparison", _plain(parts, "phi", "metric"), 500))
     monkeypatch.setattr(perov.solver, "_BLOCK", 1)
     _assert_same_outcome(blocked, _outcome("comparison", parts, 500))
