@@ -14,10 +14,12 @@ every value when the long double has fewer than 64 bits of mantissa, is
 printed by '%.17g' itself: zero, subnormals, |v| outside [1e-38, 10),
 near-ties, inf and nan.
 
-The text is laid out in fixed slots per value: the sign with any '0.000'
-lead, the leading digit and the point after it, 16 digits, and any 'e-XX'
-exponent. Trailing zero digits and unused slots are zero bytes, and
-dropping every zero byte of the table gives the text.
+A record is laid out in fixed slots: the head, the index, and per value
+the separator before it and its field. A field holds the sign with any
+'0.000' lead, the leading digit and the point after it, 16 digits, and any
+'e-XX' exponent. Leading zeros of the index, trailing zero digits and unused
+slots are zero bytes, and dropping every zero byte of the table gives the
+text.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _CLASSES = _HIGH - _LOW + 1
 # bytes, in the first 24.
 _LEAD, _HEAD, _GROUPS, _EXP, _FIELD = 0, 6, 8, 24, 28
 _TEXT = 24
+_INDEX = 19  # the digits of the largest int64
 
 
 def _words(texts: list[bytes], width: int, dtype) -> np.ndarray:
@@ -51,17 +54,23 @@ def _tables():
     (e < -4) and when e = 0, provided a nonzero digit follows it.
     """
     exps = range(_LOW, _HIGH + 1)
-    lead = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in exps]
-    leads = _words(lead + [b""] + [b"-" + t for t in lead] + [b""], 8, np.uint64)
+    lead = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in exps] + [b""]
+    point = [b"." if e < -4 or e == 0 else b"" for e in exps] + [b""]
+    # per class a word of the lead in bytes 0..5 and the point in byte 7
+    leads = [(sign + t).ljust(7, b"\0") + p for sign in (b"", b"-") for t, p in zip(lead, point)]
+    leads[-1] = leads[_CLASSES] = b""  # the blank class has no sign
+    leads = _words(leads, 8, np.uint64)
     exp = _words([b"e-%02d" % -e if e < -4 else b"" for e in exps] + [b""], 4, np.uint32)
-    point = np.array([e < -4 or e == 0 for e in exps] + [False])
-    # a group's four digits as one uint32; the second half drops trailing
-    # zeros, for the last group that has a nonzero digit and those after it
-    digits = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16)
-    chars = np.empty((2, 10_000, 4), dtype=np.uint8)
-    chars[:] = digits % 10 + ord("0")
-    chars[1] *= np.logical_or.accumulate(chars[1, :, ::-1] != ord("0"), axis=1)[:, ::-1]
-    return leads, exp, point, chars.view(np.uint32).reshape(-1)
+    # a group's four digits as one uint32, each digit along its own axis;
+    # the second half drops trailing zeros, for the last group that has a
+    # nonzero digit and those after it
+    ten = np.arange(10, dtype=np.uint8)
+    axes = [ten.reshape([10 if i == k else 1 for i in range(4)]) for k in range(4)]
+    chars = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
+    for k, digit in enumerate(axes):
+        chars[..., k] = digit + ord("0")
+        chars[1, ..., k] *= sum(axes[k:]) > 0
+    return leads, exp, chars.view(np.uint32).reshape(-1)
 
 
 _POWERS = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10  # 10^0 .. 10^27
@@ -73,8 +82,9 @@ _P = 16 - np.arange(_LOW, _HIGH + 1)
 _FIRST_POWER = _POWERS[np.minimum(_P, 27)]
 _SECOND_POWER = _POWERS[np.maximum(_P - 27, 0)]
 _MARGINS = np.where(_P > 27, 2.0**-6, 2.0**-8)
-_LEADS, _EXPS, _POINTS, _GROUP_WORDS = _tables()
+_LEADS, _EXPS, _GROUP_WORDS = _tables()
 _SCALES = np.array([10**16, 10**12, 10**8, 10**4, 1])[:, None]
+_TENS = 10 ** np.arange(_INDEX - 1, -1, -1, dtype=np.int64)  # 10^18 .. 10^0
 
 
 def _fallback(values: list[float]) -> list[bytes]:
@@ -83,32 +93,44 @@ def _fallback(values: list[float]) -> list[bytes]:
 
 
 class RowFormatter:
-    """Renders tables of `rows` rows of doubles as lines of text.
+    """Renders records of up to `rows` rows of doubles as one text.
 
-    Column c of a row prints as prefixes[c] then '%.17g' of the value, and
-    each row ends with a newline. The buffers are allocated once; each call
-    renders a table of up to `rows` rows.
+    Row i of a call prints as head, then first + i as '%d' prints it, then
+    per group its prefix and `width` values, comma-separated, each as
+    '%.17g' prints it, then a newline. The buffers are allocated once; each
+    call renders up to `rows` rows.
     """
 
-    def __init__(self, rows: int, prefixes: list[str]):
-        prefixes = [p.encode("ascii") for p in prefixes]
-        cols, pad = len(prefixes), max(map(len, prefixes), default=0)
-        # a row: per value a cell of its prefix, right-aligned after zero
-        # bytes, and its field; then the newline
-        cell = pad + _FIELD
-        buf = np.zeros((rows, cols * cell + 1), dtype=np.uint8)
+    def __init__(self, rows: int, head: str, groups: list[str], width: int):
+        head, groups = head.encode("ascii"), [p.encode("ascii") for p in groups]
+        # a row: the head, then the index right-aligned in _INDEX bytes; per
+        # group the prefix but its last byte, right-aligned in `slot` bytes,
+        # then `width` cells of a separator byte and a field. The first
+        # cell's separator is the prefix's last byte, the others' a comma
+        slot = max(max(map(len, groups)) - 1, 0)
+        cell, index = 1 + _FIELD, len(head) + _INDEX
+        span = slot + width * cell
+        line = index + len(groups) * span + 1
+        self._text = bytearray(rows * line)  # the table's bytes, rendered in place
+        buf = np.frombuffer(self._text, np.uint8).reshape(rows, line)
+        buf[:, : len(head)] = np.frombuffer(head, np.uint8)
         buf[:, -1] = ord("\n")
-        cells = buf[:, :-1].reshape(rows, cols, cell)
-        for c, prefix in enumerate(prefixes):
-            cells[:, c, pad - len(prefix) : pad] = np.frombuffer(prefix, np.uint8)
-        self._buf, self._fields = buf, cells[:, :, pad:]
+        spans = buf[:, index:-1].reshape(rows, len(groups), span)
+        cells = spans[:, :, slot:].reshape(rows, len(groups), width, cell)
+        cells[:, :, 1:, 0] = ord(",")
+        for g, prefix in enumerate(groups):
+            if prefix:
+                spans[:, g, slot + 1 - len(prefix) : slot] = np.frombuffer(prefix[:-1], np.uint8)
+                cells[:, g, 0, 0] = prefix[-1]
+        self._buf, self._index, self._fields = buf, buf[:, len(head) : index], cells[..., 1:]
         # each field's offset in the flat buffer
-        starts = np.arange(rows)[:, None] * buf.shape[1] + pad + np.arange(cols) * cell
+        starts = np.arange(rows)[:, None, None] * line + index + slot + 1
+        starts = starts + np.arange(len(groups))[:, None] * span + np.arange(width) * cell
         self._starts = starts.reshape(-1)
-        self._digits = np.empty((len(_SCALES), rows * cols), dtype=np.int64)
+        self._digits = np.empty((len(_SCALES), starts.size), dtype=np.int64)
 
-    def __call__(self, values: np.ndarray) -> list[str]:
-        """The line of each row of values, an array of shape (count, len(prefixes)), count <= rows."""
+    def __call__(self, first: int, values: np.ndarray) -> str:
+        """The text of the rows of values, an array of shape (count, len(groups), width), count <= rows."""
         v = values.reshape(-1)
         count = len(values)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -117,40 +139,52 @@ class RowFormatter:
             # cls is garbage for 0, subnormals, inf and nan: their e is out of range
             cls = (e - _LOW).astype(np.intp)
             t = a.astype(np.longdouble) * _FIRST_POWER.take(cls, mode="clip") * _SECOND_POWER.take(cls, mode="clip")
-            fraction, whole = np.modf(t)
-            fraction = fraction.astype(np.float64)
-            whole = whole.astype(np.int64)
+            whole = t.astype(np.int64)
+            fraction = (t - whole).astype(np.float64)
         digits = whole + (fraction > 0.5)
-        ok = (e >= _LOW) & (e <= _HIGH) & (whole >= 10**16) & (digits < 10**17)
+        # the class in range, and t in [1e16, 1e17 - 1): the range test
+        # catches a log10 that is off by one
+        ok = (cls.view(np.uintp) < _CLASSES) & ((whole - 10**16).view(np.uint64) < 9 * 10**16 - 1)
         ok &= np.abs(fraction - 0.5) > _MARGINS.take(cls, mode="clip")
         if not _EXACT:
             ok[:] = False
-        # the leading digit and four groups of four, as ASCII. A last digit
-        # of zero starts trailing zeros: the groups after the last nonzero
-        # digit drop them
+        # the leading digit and four groups of four, as ASCII; the last
+        # group drops its trailing zeros
         d = self._digits[:, : v.size]
         for row, scale in zip(d, _SCALES.ravel().tolist()):
             np.floor_divide(digits, scale, out=row)
-        zeros = np.flatnonzero(ok & (digits % 10 == 0))
-        nonzero = d[:, zeros] * _SCALES != digits[zeros]  # a nonzero digit follows
         d[1:] -= d[:-1] * 10_000
+        d[-1] += 10_000
         groups = _GROUP_WORDS.take(d[1:].T, mode="clip")
-        groups[zeros] = _GROUP_WORDS.take(d[1:, zeros].T + 10_000 * ~nonzero[1:].T)
         cls = np.where(ok, cls, _CLASSES)
-        point = _POINTS.take(cls)
-        point[zeros] &= nonzero[0]
-        head = d[0] + ord("0") + point * (ord(".") << 8)
+        word = _LEADS.take(cls + (v < 0.0) * (_CLASSES + 1))
+        word |= ((d[0] + ord("0")) << 8 * _HEAD).view(np.uint64)
+        # behind a zero last group the groups before it drop their trailing
+        # zeros too, back to a nonzero one, and the point goes if all are zero
+        rare = np.flatnonzero(d[-1] == 10_000)
+        if rare.size:
+            tail = d[1:, rare]
+            zero = np.logical_and.accumulate(tail[::-1] % 10_000 == 0, axis=0)[::-1]
+            tail[:-1] += 10_000 * zero[1:]
+            groups[rare] = _GROUP_WORDS.take(tail.T, mode="clip")
+            word[rare[zero[0]]] &= np.uint64(2 ** (8 * _HEAD + 8) - 1)  # the bytes before the point
         fields = self._fields[:count]
-        shape = fields.shape[:2]
-        lead = _LEADS.take(cls + (v < 0.0) * (_CLASSES + 1))
-        fields[:, :, _LEAD:_GROUPS].view(np.uint64)[..., 0] = lead.reshape(shape)
-        fields[:, :, _HEAD:_GROUPS].view(np.uint16)[..., 0] = head.reshape(shape)
-        fields[:, :, _GROUPS:_EXP].view(np.uint32)[...] = groups.reshape(*shape, 4)
-        fields[:, :, _EXP:].view(np.uint32)[..., 0] = _EXPS.take(cls).reshape(shape)
+        shape = fields.shape[:3]
+        fields[..., _LEAD:_GROUPS].view(np.uint64)[..., 0] = word.reshape(shape)
+        fields[..., _GROUPS:_EXP].view(np.uint32)[...] = groups.reshape(*shape, 4)
+        fields[..., _EXP:].view(np.uint32)[..., 0] = _EXPS.take(cls).reshape(shape)
         bad = np.flatnonzero(~ok)
         if bad.size:
             texts = np.array(_fallback(v[bad].tolist()), dtype=f"S{_TEXT}")
             at = (self._starts[bad] + _LEAD)[:, None] + np.arange(_TEXT)
             self._buf.reshape(-1)[at] = texts.view(np.uint8).reshape(-1, _TEXT)
-        lines = self._buf[:count].tobytes().translate(None, b"\0").decode("ascii").split("\n")
-        return [line + "\n" for line in lines[:-1]]
+        # the index: its digits below the largest index's, leading zeros dropped
+        width = len(b"%d" % (first + count - 1))
+        tens = (np.arange(count) + first)[:, None] // _TENS[-width:]
+        chars = tens % 10 + ord("0")
+        chars[:, :-1] *= tens[:, :-1] > 0  # the last digit prints even for 0
+        index = self._index[:count]
+        index[:, :-width] = 0
+        index[:, -width:] = chars
+        text = self._text if count == len(self._buf) else self._text[: count * self._buf.shape[1]]
+        return text.translate(None, b"\0").decode("ascii")

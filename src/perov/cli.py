@@ -407,55 +407,60 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison:
     return phi
 
 
-# Values per rendered chunk of iter records, step indices counted; shorter runs are never chunked.
-_CHUNK_VALUES = 4096
+# Text of a chunk of iter records, at most: its one write stays below the
+# 64 KiB pipe buffer, so it never waits for the reader. Runs of fewer steps
+# than a chunk holds are never chunked.
+_CHUNK_TEXT = 64 * 1024 - 1
 
 
 def _iter_writer(n: int):
     """A solver's on_step that writes the iter records, and the flush for the last ones.
 
-    Each step's y, dist and bound are copied into a chunk of about
-    _CHUNK_VALUES values with the step indices; a full chunk is rendered at
-    once by perov._g17, imported with the first one, which prints exactly
-    what '%.17g' prints, and each record is a step index and its row's text.
-    flush writes the steps of a partial chunk through the same kernel once
-    it is loaded, and through the per-record template in a solve that never
-    filled a chunk, so that such a solve never imports it. Each record is
-    one write, so once flushed, a solve that fails part way has printed the
-    records of every step it took.
+    Each block of steps is copied into a chunk of as many records as fit
+    _CHUNK_TEXT. A full chunk is rendered at once by perov._g17, imported
+    with the first one, which prints exactly what '%d' and '%.17g' print,
+    and its records are one write. flush writes the steps of a partial chunk
+    through the same kernel once it is loaded, and through the per-record
+    template, one write per record, in a solve that never filled a chunk,
+    so that such a solve never imports it. Once flushed, a solve that fails
+    part way has printed the records of every step it took.
     """
-    vector = [","] * (n - 1)
-    prefixes = [" y=", *vector, " dist=", *vector, " bound=", *vector]
-    line = "#REC kind=iter n=%d" + "".join(p + "%.17g" for p in prefixes) + "\n"
+    head, groups = "#REC kind=iter n=", (" y=", " dist=", " bound=")
+    vector = ",".join(["%.17g"] * n)
+    line = head + "%d" + "".join(p + vector for p in groups) + "\n"
     write = sys.stdout.write
-    chunk = np.empty((-(-_CHUNK_VALUES // (3 * n + 1)), 3 * n))
-    steps = []
+    # as many records as fit at their longest: a 19-digit index, 24 bytes a value
+    longest = line % (2**63 - 1, *[-2.2250738585072014e-308] * (3 * n))
+    chunk = np.empty((_CHUNK_TEXT // len(longest), 3, n))
+    rows = start = 0  # the chunk's rows in use, and the step index of its first
     render = None
 
-    def emit():  # the steps of the chunk's first rows, through the kernel
-        table, taken = chunk[: len(steps)], steps.copy()
-        steps.clear()
-        for j, text in zip(taken, render(table)):
-            write("#REC kind=iter n=%d%s" % (j, text))
+    def on_step(j, ys, dists, bounds):  # steps j .. j + len(ys) - 1, in step order
+        nonlocal rows, start, render
+        i = 0
+        while i < len(ys):  # a block may end one chunk and start the next
+            if not rows:
+                start = j + i
+            take = min(len(ys) - i, len(chunk) - rows)
+            part = chunk[rows : rows + take]
+            part[:, 0], part[:, 1], part[:, 2] = ys[i : i + take], dists[i : i + take], bounds[i : i + take]
+            rows, i = rows + take, i + take
+            if rows == len(chunk):
+                if render is None:
+                    from ._g17 import RowFormatter
 
-    def on_step(j, y, dist, bound):
-        nonlocal render
-        np.concatenate((y, dist, bound), out=chunk[len(steps)])
-        steps.append(j)
-        if len(steps) == len(chunk):
-            if render is None:
-                from ._g17 import RowFormatter
-
-                render = RowFormatter(len(chunk), prefixes)
-            emit()
+                    render = RowFormatter(len(chunk), head, groups, n)
+                write(render(start, chunk))
+                rows = 0
 
     def flush():
+        nonlocal rows
         if render is None:
-            for j, row in zip(steps, chunk[: len(steps)].tolist()):
-                write(line % (j, *row))
-            steps.clear()
-        elif steps:
-            emit()
+            for i, row in enumerate(chunk[:rows].reshape(rows, 3 * n).tolist()):
+                write(line % (start + i, *row))
+        elif rows:
+            write(render(start, chunk[:rows]))
+        rows = 0
 
     return on_step, flush
 

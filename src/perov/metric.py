@@ -46,8 +46,16 @@ class WeightedMatrixMetric:
     def __call__(self, x, y):
         return metric_eval(self, x, y)
 
-    def _raw(self, a, b):  # unchecked, for the solve loop
+    def _raw(self, a, b):  # unchecked
         return np.abs(a - b).dot(self.weight.entries.T)
+
+    def _steps(self, v):  # unchecked, for the solve loop
+        """Row i is _raw(v[i : i + 1], v[i + 1 : i + 2]), bit for bit, for a (count + 1, n) stack v.
+
+        A stacked matmul takes one row product per step, as _raw does on one
+        row; a (count, n) product would take another BLAS path and move bits.
+        """
+        return np.matmul(np.abs(v[:-1] - v[1:])[:, None, :], self.weight.entries.T)[:, 0, :]
 
 
 def metric_eval(m: WeightedMatrixMetric, x, y):

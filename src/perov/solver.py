@@ -18,14 +18,15 @@ condition is verified online at every step.
 The loop keeps its state as (1, n) arrays and calls f, g, the metric and
 phi in their (count, n) stack form: a declarative one as its unchecked _raw
 arithmetic; values become Vectors only where they leave the loop. It takes
-steps in blocks: each step's arithmetic runs in turn on its (1, n) row,
-then the finiteness, stop and online comparison tests are screened once
-over the block's rows, and only a block that fails a screen runs the
-per-step checks row by row. A block doubles from one row up to _BLOCK
-rows when no step calls user code, and is one row otherwise. A step
-leaves the loop only through the caller's on_step, in step order once its
-block is checked: a solve holds one block of rows at most, and its memory
-does not grow with the budget.
+steps in blocks: the serial chains of values and bounds run step by step on
+(1, n) rows, the block's distances are one stacked product, then the
+finiteness, stop and online comparison tests are screened once over the
+block's rows, and only a block that fails a screen runs the per-step checks
+row by row. A block doubles from one row up to _BLOCK rows when no step
+calls user code, and is one row otherwise. Steps leave the loop only
+through the caller's on_step, a checked block in one call or a row at a
+time, in step order: a solve holds one block of rows at most, and its
+memory does not grow with the budget.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 MapFn = Callable[[Vector], Vector]
-StepFn = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
+StepFn = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]  # on_step(j, ys, dists, bounds)
 
 # Residual allowed for a preimage oracle, in the sup norm, relative to the
 # larger sup norm of the preimage and its target (absolute below 1).
@@ -429,15 +430,20 @@ def _iterate(
     Steps go in blocks when the step map is a MapSpec, the metric a
     WeightedMatrixMetric and phi, if given, a LinearComparison; otherwise
     every block is one step, so that user code runs once per step and never
-    ahead of on_step. A block runs the serial chain y, dist, bound step by
-    step on (1, n) rows. Every block after step 0's is then screened as a
-    whole: one finiteness reduction, one reduction that finds whether any
-    component of any step is below eps, which the step test needs, and under
-    phi one product of the stacked previous distances with G^T. A block
-    that passes goes to on_step at once, row by row; any other block runs
-    the per-step checks above on each row in turn. Rows past the step the
-    run ends at are dropped unseen. Blocks double from one step up to
-    _BLOCK rows, so a run computes fewer than _BLOCK rows past its stop.
+    ahead of on_step. A block runs the serial chain of its values y step by
+    step on (1, n) rows, then takes its distances: for a
+    WeightedMatrixMetric one stacked product (its _steps), which gives each
+    row the bits of the one-row product, and any other metric on the one
+    row. The chain of bounds follows, step by step. Every block after step
+    0's is then screened as a whole: one finiteness reduction, a test of
+    whether any step could pass the step test, and under phi one product of
+    the stacked previous distances with G^T. A block that passes goes to
+    on_step(j, ys, dists, bounds) in one call, with (rows, n) arrays for
+    steps j .. j + rows - 1; any other block runs the per-step checks above
+    on each row in turn and hands each step to on_step as a block of one
+    row. Rows past the step the run ends at are dropped unseen. Blocks
+    double from one step up to _BLOCK rows, so a run computes fewer than
+    _BLOCK rows past its stop.
     """
     n = getattr(metric, "n", x0.n)
     if x0.n != n or eps.n != n:
@@ -463,7 +469,14 @@ def _iterate(
     eps_half = 0.5 * eps
     x = x0.components[None]
     prev_val = x if g is None else g(x)
-    metric_raw = _lowered(metric, n)
+    if isinstance(metric, WeightedMatrixMetric):
+        step_dists = metric._steps
+    else:  # a user metric is called on the (1, n) rows of each step
+        metric_raw = _lowered(metric, n)
+
+        def step_dists(v):
+            return metric_raw(v[:-1], v[1:])
+
     h = None if g is None else _value_map(f, g, g_solve)
     literal = g is not None and h is None  # x_{j+1} = g^-1(f x_j), solved at every step
     step_map = f if h is None else h
@@ -493,51 +506,58 @@ def _iterate(
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness tests catch overflow
         while j0 < budget:
             rows = min(rows, budget - j0)
-            # the serial chain, one (1, n) row per step
-            vals, dists, bounds = [prev_val], [prev_d], []
+            # the serial chains, one (1, n) row per step: first the values,
+            # then, from the block's distances, the bounds
+            vals = [prev_val]
+            for _ in range(rows):
+                vals.append(step_raw(x if literal else vals[-1]))
+            v = np.concatenate(vals)
+            ds = step_dists(v)
+            chain = []
             for j in range(j0, j0 + rows):
-                y = step_raw(x if literal else vals[-1])
-                d_j = metric_raw(vals[-1], y)
                 # keep M.T a view: a contiguous copy takes another BLAS path and moves bits
                 if j == 0:
-                    bound = d_j if cert is None else d_j.dot(cert.S.entries.T)
+                    bound = ds[:1] if cert is None else ds[:1].dot(cert.S.entries.T)
                 else:
                     bound = phi_raw(bound) if k_t is None else bound.dot(k_t)
-                vals.append(y)
-                dists.append(d_j)
-                bounds.append(bound)
+                chain.append(bound)
+            bs = np.concatenate(chain)
             if blocked and j0 > 0:  # step 0 has no previous distance
-                ds, bs = np.concatenate(dists), np.concatenate(bounds)
-                d = ds[1:]
                 # Each screen that holds of the whole block shows that no row
                 # needs the per-step check it stands for: every value is
-                # finite (a y that is not makes its d so, as W > 0); no
-                # component of a step is below eps (the step test needs every
-                # one below, and an exactly zero step has them all); no step
-                # exceeds G times the one before it (G is diagonal, so each
-                # entry of the product is the row's one rounding).
+                # finite (a y that is not makes its d so, as W > 0); no step
+                # passes the step test (an exactly zero step passes it too); no
+                # step exceeds G times the one before it (G is diagonal, so
+                # each entry of the product is the row's one rounding).
+                stops = np.minimum.reduce(eps - ds, 1) > 0.0
+                if stops.any():
+                    halved = np.minimum.reduce(eps_half - ds, 1) > 0.0
+                    stops &= halved if cert is None else halved | (np.minimum.reduce(eps - bs, 1) > 0.0)
                 clean = (
-                    math.isfinite(np.add.reduce(d + bs, None))
-                    and not np.maximum.reduce(eps - d, None) > 0.0
-                    and (phi is None or np.maximum.reduce(d - ds[:-1].dot(k_t), None) <= _STEP_SLACK)
+                    math.isfinite(np.add.reduce(ds + bs, None))
+                    and not stops.any()
+                    and (
+                        phi is None
+                        or np.maximum.reduce(ds - np.concatenate((prev_d, ds[:-1])).dot(k_t), None)
+                        <= _STEP_SLACK
+                    )
                 )
             else:
                 clean = False
             if clean:  # the block goes out at once
                 if on_step is not None:
-                    for i in range(rows):
-                        on_step(j0 + i, vals[i][0], dists[i + 1][0], bounds[i][0])
-                prev_val, prev_d = vals[-1], dists[-1]
+                    on_step(j0, v[:-1], ds, bs)
+                prev_val, prev_d = vals[-1], ds[-1:]
                 x = prev_val if g is None else None
             else:  # the per-step tests, row by row
                 for i in range(rows):
-                    j, y, d_j, bound = j0 + i, vals[i + 1], dists[i + 1], bounds[i]
-                    if not math.isfinite(np.add.reduce(y + d_j + bound, None)):
+                    j, y, d_j, b_j = j0 + i, vals[i + 1], ds[i : i + 1], bs[i : i + 1]
+                    if not math.isfinite(np.add.reduce(y + d_j + b_j, None)):
                         if not np.isfinite(y).all():
                             raise EvaluationError(_NON_FINITE_MAP)
-                        _shaped(np.vstack((d_j, bound)))  # raises unless only the sum overflowed
+                        _shaped(np.vstack((d_j, b_j)))  # raises unless only the sum overflowed
                     if on_step is not None:
-                        on_step(j, prev_val[0], d_j[0], bound[0])
+                        on_step(j, prev_val, d_j, b_j)
                     steps = j + 1
                     if phi is not None:
                         if j >= 1:
@@ -569,7 +589,7 @@ def _iterate(
                         x_next = lift(y) if literal or j == 0 else None
                     # the step test comes first: it fails on all but the last few steps
                     if np.minimum.reduce(eps - d_j, None) > 0.0 and (
-                        (cert is not None and np.minimum.reduce(eps - bound, None) > 0.0)
+                        (cert is not None and np.minimum.reduce(eps - b_j, None) > 0.0)
                         or np.minimum.reduce(eps_half - d_j, None) > 0.0
                     ):
                         if x_next is None:
@@ -620,10 +640,11 @@ def perov_solve(
     d(f(point), point) strictly below eps componentwise.
 
     f and the metric are called on (1, n) stacks. on_step is the only way
-    to see the steps: given, each step j calls on_step(j, y, dist, bound)
-    once, in step order, when the block of steps it belongs to is checked,
-    with 1-d arrays: y the value the step starts from, dist the distance
-    from y to f(y), and bound the a-priori bound k^j S d_0 on the distance
+    to see the steps: given, it is called as on_step(j, ys, dists, bounds)
+    once per checked block of steps, in step order, so that every step is
+    handed over once. The arrays have shape (rows, n), and row i belongs to
+    step j + i: ys holds the value the step starts from, dists the distance
+    from y to f(y), and bounds the a-priori bound k^j S d_0 on the distance
     from y to the limit. A plain-function f or metric makes every block one
     step, so it is never called ahead of on_step. The arrays belong to the
     loop and must not be modified; copy them to keep them. result.trace
@@ -654,8 +675,8 @@ def jungck_solve(
     f g^-1. On convergence the result carries the coincidence point p, the
     value g(p) and the weak-compatibility verdict at p; when that verdict
     holds, the value is also the common fixed point. f, g, the metric and
-    on_step are used as in perov_solve, with y = g(x_j) (after step 0 the
-    common value f(x_{j-1}) = g(x_j), up to rounding) and
+    on_step are used as in perov_solve, with a step's y = g(x_j) (after
+    step 0 the common value f(x_{j-1}) = g(x_j), up to rounding) and its
     dist = d(g x_j, f x_j).
     """
     return _iterate(f, g, g_solve, metric, x0, eps, budget, cert=cert, on_step=on_step)
@@ -687,8 +708,8 @@ def comparison_solve(
     An exactly stationary step means the current point is an exact
     coincidence point and ends the run immediately. phi is called on (1, n)
     stacks like f, g and the metric; g_solve and on_step are used as in
-    jungck_solve, except that bound is phi^j(d_0), an envelope of the step
-    distances and not an error bound. A LinearComparison is applied as its
+    jungck_solve, except that a step's bound is phi^j(d_0), an envelope of
+    the step distances and not an error bound. A LinearComparison is applied as its
     gain product and checked a block of steps at a time; any other phi, like
     a plain-function f, g or metric, makes every block one step. A run in value space, as in
     jungck_solve, returns with every status the point g_solve gives for the

@@ -37,6 +37,7 @@ from perov import (
     MapSpec,
     SolveStatus,
 )
+from steps import per_step
 
 
 @pytest.fixture
@@ -206,7 +207,7 @@ def test_criterion_05_perov_solver_vs_closed_form(verdict):
             steps = []
             res = perov_solve(
                 f, metric, cert, x0, Vector.full(n, 1e-11),
-                on_step=lambda j, y, dist, bound: steps.append((y.copy(), bound.copy())),
+                on_step=per_step(lambda j, y, dist, bound: steps.append((y.copy(), bound.copy()))),
             )
             assert res.trace.status is SolveStatus.CONVERGED
             star = np.linalg.solve(np.eye(n) - m.entries, b.components)
@@ -279,7 +280,7 @@ def test_criterion_08_comparison_function_suite(verdict):
         dists = []
         res = comparison_solve(
             f, g, affine_preimage(g), gain, metric, vec(8.0), Vector.full(1, 1e-10),
-            on_step=lambda j, y, dist, bound: dists.append(Vector(dist)),
+            on_step=per_step(lambda j, y, dist, bound: dists.append(Vector(dist))),
         )
         assert res.trace.status is SolveStatus.CONVERGED
         assert abs(res.point.components[0]) <= 1e-10

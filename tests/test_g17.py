@@ -1,11 +1,12 @@
-"""perov._g17 renders exactly what '%.17g' prints, and long solves print the same records.
+"""perov._g17 renders exactly what '%d' and '%.17g' print, and long solves print the same records.
 
-The iter records of a solve are rendered a chunk at a time; a partial last
-chunk goes through the same kernel once a full one has loaded it, and
-through the per-record template otherwise. These tests compare the kernel
-with '%.17g' value by value, check that few values leave its product for
-'%.17g' itself, and compare the stdout of solves several chunks long with
-the per-record rendering of the same steps.
+The iter records of a solve are rendered a chunk at a time, one write per
+chunk; a partial last chunk goes through the same kernel once a full one has
+loaded it, and through the per-record template otherwise. These tests
+compare the kernel with '%.17g' value by value, check that few values leave
+its product for '%.17g' itself, compare the stdout of solves several chunks
+long with the per-record rendering of the same steps, and pin the chunk
+sizes under the allocator's and the pipe's thresholds.
 """
 
 import contextlib
@@ -18,15 +19,17 @@ import perov._g17 as g17
 import perov.cli
 from perov import EvaluationError
 from perov.cli import _iter_writer, run
+from steps import per_step
 
 
 def rendered(values):
+    """The kernel's lines for values, one per row: the row's index, a space and the value."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    return g17.RowFormatter(len(values), [""])(values[:, None])
+    return g17.RowFormatter(len(values), "", [" "], 1)(0, values[:, None, None]).splitlines(keepends=True)
 
 
 def expected(values):
-    return ["%.17g\n" % v for v in np.asarray(values, dtype=np.float64).ravel().tolist()]
+    return ["%d %.17g\n" % (i, v) for i, v in enumerate(np.asarray(values, dtype=np.float64).ravel().tolist())]
 
 
 def samples():
@@ -81,9 +84,9 @@ def test_only_near_ties_and_values_of_10_or_more_take_percent_17g(monkeypatch):
     wide = np.concatenate([np.arange(10.0, 100.0), 10.0 ** rng.uniform(1.0, 300.0, 1_910)])
     wide *= rng.choice([-1.0, 1.0], wide.size)
     table = np.hstack((y, dist, bound, wide.reshape(2_000, -1)))
-    assert g17.RowFormatter(len(table), [" "] * table.shape[1])(table) == [
-        "".join(" %.17g" % x for x in row) + "\n" for row in table.tolist()
-    ]
+    assert g17.RowFormatter(len(table), "", [" "], table.shape[1])(0, table[:, None]) == "".join(
+        "%d " % i + ",".join("%.17g" % x for x in row) + "\n" for i, row in enumerate(table.tolist())
+    )
     small = np.concatenate((y, dist, bound), axis=None)
     assert set(wide.tolist()) <= set(taken)
     assert len(taken) - wide.size <= 0.05 * small.size
@@ -96,23 +99,34 @@ def test_power_table_is_exact():
 
 
 def test_rows_carry_their_prefixes():
-    formatter = g17.RowFormatter(2, ["#REC n=", " y=", ","])
-    table = np.array([[3.0, 0.25, -1e-7], [4.0, 1.0 / 3.0, 0.0]])
-    assert formatter(table) == [
-        "#REC n=3 y=0.25,-9.9999999999999995e-08\n",
-        "#REC n=4 y=0.33333333333333331,0\n",
-    ]
+    formatter = g17.RowFormatter(2, "#REC n=", [" y=", " dist="], 2)
+    table = np.array([[[0.25, -1e-7], [1.0, 2.0]], [[1.0 / 3.0, 0.0], [5e-5, 1e-300]]])
+    assert formatter(3, table) == (
+        "#REC n=3 y=0.25,-9.9999999999999995e-08 dist=1,2\n"
+        "#REC n=4 y=0.33333333333333331,0 dist=5.0000000000000002e-05,1e-300\n"
+    )
 
 
 def test_a_partial_table_renders_its_rows_alone():
     # after a full table, a shorter one prints its own rows and nothing of the first
-    formatter = g17.RowFormatter(5, ["#REC n=", " y=", ","])
+    formatter = g17.RowFormatter(5, "#REC n=", [" y="], 2)
     rng = np.random.default_rng(7)
-    full = rng.uniform(-1e3, 1e3, (5, 3))
-    full[:, 0] = np.arange(5)
-    assert formatter(full) == ["#REC n=%.17g y=%.17g,%.17g\n" % tuple(row) for row in full.tolist()]
-    part = np.array([[9.0, 1e-300, -0.0], [10.0, 2.0 / 3.0, 1e17]])
-    assert formatter(part) == ["#REC n=%.17g y=%.17g,%.17g\n" % tuple(row) for row in part.tolist()]
+    full = rng.uniform(-1e3, 1e3, (5, 1, 2))
+    assert formatter(995, full) == "".join(
+        "#REC n=%d y=%.17g,%.17g\n" % (995 + i, *row) for i, row in enumerate(full.reshape(5, 2).tolist())
+    )
+    part = np.array([[[1e-300, -0.0]], [[2.0 / 3.0, 1e17]]])
+    assert formatter(9, part) == "".join(
+        "#REC n=%d y=%.17g,%.17g\n" % (9 + i, *row) for i, row in enumerate(part.reshape(2, 2).tolist())
+    )
+
+
+@pytest.mark.parametrize("first", [0, 1, 9, 95, 99_990, 10**12 - 3, 2**63 - 8])
+def test_the_index_prints_as_percent_d(first):
+    # a chunk's indices may cross a power of ten; the largest is the largest int64
+    formatter = g17.RowFormatter(8, "n=", [" "], 1)
+    text = formatter(first, np.zeros((8, 1, 1)))
+    assert text == "".join("n=%d 0\n" % (first + i) for i in range(8))
 
 
 def per_record(steps, n):
@@ -122,8 +136,58 @@ def per_record(steps, n):
     return [line % (j, *y.tolist(), *d.tolist(), *b.tolist()) for j, y, d, b in steps]
 
 
+class Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 def chunk_rows(n):
-    return -(-perov.cli._CHUNK_VALUES // (3 * n + 1))
+    """The records of a chunk: the steps an iter writer takes before its first write."""
+    out = Writes()
+    with contextlib.redirect_stdout(out):
+        on_step, _ = _iter_writer(n)
+        rows = 0
+        while not out.writes:
+            on_step(rows, *np.zeros((3, 1, n)))
+            rows += 1
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_a_full_chunk_stays_below_the_mmap_threshold_and_the_pipe_buffer(n, monkeypatch):
+    # a chunk's buffers below glibc's 128 KiB mmap threshold are reused from
+    # the heap, not mapped and faulted in afresh for each chunk; its one
+    # write below the 64 KiB pipe buffer does not wait for the reader. The
+    # longest records have 19-digit indices and values of 24 bytes, the most
+    # '%.17g' prints for a double
+    worst = -2.2250738585072014e-308
+    assert len("%.17g" % worst) == 24
+    formatters = []
+
+    class Keeping(g17.RowFormatter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            formatters.append(self)
+
+    monkeypatch.setattr(g17, "RowFormatter", Keeping)
+    out = Writes()
+    with contextlib.redirect_stdout(out):
+        on_step, _ = _iter_writer(n)
+        rows = 0
+        while not out.writes:
+            on_step(10**18 + rows, *np.full((3, 1, n), worst))
+            rows += 1
+    [text] = out.writes
+    assert text == "".join(per_record([(10**18 + i, *np.full((3, n), worst)) for i in range(rows)], n))
+    assert len(text) < 64 * 1024
+    [formatter] = formatters
+    assert formatter._buf.nbytes < 128 * 1024
+    assert rows * 3 * n * 4 * 8 < 128 * 1024  # the largest temporary: four int64 digit groups a value
 
 
 LONG_PEROV = """\
@@ -185,10 +249,11 @@ def test_long_solve_prints_the_per_record_bytes(tmp_path, monkeypatch, command, 
 
     def recording(n):  # record the steps the solver hands over
         on_step, flush = real(n)
+        record = per_step(lambda j, y, dist, bound: steps.append((j, y.copy(), dist.copy(), bound.copy())))
 
-        def spy(j, y, dist, bound):
-            steps.append((j, y.copy(), dist.copy(), bound.copy()))
-            on_step(j, y, dist, bound)
+        def spy(j, ys, dists, bounds):
+            record(j, ys, dists, bounds)
+            on_step(j, ys, dists, bounds)
 
         return spy, flush
 
@@ -202,26 +267,29 @@ def test_long_solve_prints_the_per_record_bytes(tmp_path, monkeypatch, command, 
     assert records == per_record(steps, n)
 
 
-class Writes(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        return super().write(text)
+def blocks(steps, sizes):
+    """steps handed over as blocks of the given sizes, as the solver's on_step takes them."""
+    start = 0
+    for size in sizes:
+        part = steps[start : start + size]
+        yield part[0][0], *(np.array([step[k] for step in part]) for k in (1, 2, 3))
+        start += size
 
 
 def test_failing_solve_prints_every_step_first(tmp_path, monkeypatch):
-    # a stub solver hands over one and a half chunks of steps, then fails
+    # a stub solver hands over one and a half chunks of steps in blocks of
+    # up to 16, one of them across the chunk's end, then fails
     n = 2
     count = chunk_rows(n) * 3 // 2
     rng = np.random.default_rng(5)
     steps = [(j, rng.uniform(-1, 1, n), rng.uniform(0, 1e-3, n), rng.uniform(0, 1, n)) for j in range(count)]
+    sizes = [1, 2, 4, 8] + [16] * ((count - 15) // 16) + [(count - 15) % 16]
+    ends = np.cumsum(sizes)
+    assert ends[-1] == count and chunk_rows(n) not in ends
 
     def failing(*args, on_step):
-        for step in steps:
-            on_step(*step)
+        for block in blocks(steps, sizes):
+            on_step(*block)
         raise EvaluationError("map evaluation produced a non-finite value")
 
     monkeypatch.setattr(perov.cli, "perov_solve", failing)
@@ -234,10 +302,12 @@ def test_failing_solve_prints_every_step_first(tmp_path, monkeypatch):
     out = Writes()
     with contextlib.redirect_stdout(out):
         assert run(["solve-perov", str(path)]) == 2
+    # the full chunk and the flushed rest, one write each, then the failure
+    records = per_record(steps, n)
     writes = out.writes
-    first = writes.index(per_record(steps, n)[0])
-    assert writes[first : first + count] == per_record(steps, n)
-    assert writes[first + count].startswith("evaluation failure: map evaluation")
+    first = writes.index("".join(records[: chunk_rows(n)]))
+    assert writes[first : first + 2] == ["".join(records[: chunk_rows(n)]), "".join(records[chunk_rows(n) :])]
+    assert writes[first + 2].startswith("evaluation failure: map evaluation")
 
 
 def test_iter_writer_flushes_a_partial_chunk_through_the_template():
@@ -246,8 +316,8 @@ def test_iter_writer_flushes_a_partial_chunk_through_the_template():
     out = Writes()
     with contextlib.redirect_stdout(out):
         on_step, flush = _iter_writer(n)
-        for step in steps:
-            on_step(*step)
+        for block in blocks(steps, [1, 2, 2]):
+            on_step(*block)
         assert out.writes == []
         flush()
     assert out.writes == per_record(steps, n)
@@ -255,7 +325,7 @@ def test_iter_writer_flushes_a_partial_chunk_through_the_template():
 
 def test_iter_writer_flushes_a_tail_through_the_loaded_kernel(monkeypatch):
     # once a full chunk has loaded the kernel, the partial last chunk goes
-    # through it too, one write per record, byte for byte the template's text
+    # through it too, one write per chunk, byte for byte the template's text
     n = 2
     rows = chunk_rows(n)
     rng = np.random.default_rng(11)
@@ -267,17 +337,18 @@ def test_iter_writer_flushes_a_tail_through_the_loaded_kernel(monkeypatch):
     real = g17.RowFormatter
 
     class Counting(real):
-        def __call__(self, values):
-            tables.append(len(values))
-            return super().__call__(values)
+        def __call__(self, first, values):
+            tables.append((first, len(values)))
+            return super().__call__(first, values)
 
     monkeypatch.setattr(g17, "RowFormatter", Counting)
     out = Writes()
     with contextlib.redirect_stdout(out):
         on_step, flush = _iter_writer(n)
-        for step in steps:
-            on_step(*step)
+        for block in blocks(steps, [1] * len(steps)):
+            on_step(*block)
         flush()
         flush()  # a second flush has nothing left to write
-    assert tables == [rows, rows // 2]
-    assert out.writes == per_record(steps, n)
+    assert tables == [(0, rows), (rows, rows // 2)]
+    records = per_record(steps, n)
+    assert out.writes == ["".join(records[:rows]), "".join(records[rows:])]

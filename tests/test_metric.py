@@ -87,6 +87,27 @@ def test_stack_keeps_the_vector_checks():
         m(vec(1e308, 0.0), vec(-1e308, 0.0))
 
 
+@pytest.mark.parametrize("n", range(1, 33))
+def test_block_distances_are_metric_eval_row_by_row(n):
+    # the solve loop takes a block's step distances as one stacked product,
+    # which must give metric_eval's bits on each (1, n) row, or the iter
+    # records would move: seeded blocks of 1 to 16 steps, values of any
+    # magnitude from 1e-300 to 1e300 with zeros, and repeated rows
+    rng = np.random.default_rng(2700 + n)
+    for rows in range(1, 17):
+        m = WeightedMatrixMetric(SquareMatrix(rng.uniform(0.1, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, 3.0)))
+        v = rng.choice([-1.0, 1.0], (rows + 1, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (rows + 1, n))
+        v[rng.random((rows + 1, n)) < 0.1] = 0.0
+        if rows > 1:
+            v[rng.integers(1, rows + 1)] = v[0]
+        block = m._steps(v)
+        one_by_one = np.vstack([metric_eval(m, v[i : i + 1], v[i + 1 : i + 2]) for i in range(rows)])
+        assert block.shape == (rows, n)
+        assert block.tobytes() == one_by_one.tobytes()
+        vectors = [metric_eval(m, Vector(v[i]), Vector(v[i + 1])).components for i in range(rows)]
+        assert block.tobytes() == np.vstack(vectors).tobytes()
+
+
 def test_axioms_pass_for_valid_weight():
     # the triangle slack is relative: the rounding of the triangle sum grows
     # with the distances, and an absolute 1e-12 refutes the scaled weights

@@ -29,6 +29,7 @@ from perov import (
 )
 import perov.solver
 from perov.cli import parse_problem, parse_problem_text
+from steps import per_step
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -59,7 +60,10 @@ class StepLog:
     def __init__(self):
         self.points, self.step_dists, self.bounds = [], [], []
 
-    def __call__(self, j, y, dist, bound):
+    def __call__(self, j, ys, dists, bounds):
+        per_step(self.step)(j, ys, dists, bounds)
+
+    def step(self, j, y, dist, bound):
         assert j == len(self.points)
         self.points.append(Vector(y))
         self.step_dists.append(Vector(dist))
@@ -788,10 +792,10 @@ def test_perov_is_jungck_with_identity(seed):
 _CALLABLES = ("f", "g", "metric", "phi", "solve")
 
 
-def _random_parts(seed):
-    """One seeded affine problem: f, g, the metric, phi, g's oracle, k, x0 and eps."""
+def _random_parts(seed, n=None):
+    """One seeded affine problem: f, g, the metric, phi, g's oracle, k, x0 and eps, in dimension n or a drawn one."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 5)) if n is None else n
     m = rng.uniform(0.0, 1.0, (n, n))
     m *= rng.uniform(0.3, 0.9) / m.sum(axis=1).max()
     b = rng.uniform(-10.0, 10.0, n)
@@ -903,13 +907,13 @@ def test_on_step_streams_what_the_trace_records(kind, seed):
 _BUDGETS = (1, 2, 3, perov.solver._BLOCK - 1, perov.solver._BLOCK, perov.solver._BLOCK + 1, 500)
 
 
-def _block_parts(seed):
+def _block_parts(seed, n=None):
     """_random_parts with eps drawn from 1e-14 to 1e-2 and a gain from 0.3 to 0.99,
     which the online check may refute. Every fourth f contracts by 0.999, so
     that a pair runs out of budget in full blocks; every fourth other grows by 1e5
     to 1e7 a step, so that a value overflows inside a block, and every
     eighth, with a weight scaled by 1e100, overflows a distance first."""
-    parts = _random_parts(seed)
+    parts = _random_parts(seed, n)
     rng = np.random.default_rng(10_000 + seed)
     n, f = parts["f"].n, parts["f"]
     parts["eps"] = Vector.full(n, 10.0 ** rng.uniform(-14.0, -2.0))
@@ -925,9 +929,10 @@ def _block_parts(seed):
 
 
 def _outcome(kind, parts, budget):
-    """The bytes of every on_step call, then the result or the typed error it ended with."""
+    """The bytes of every step handed to on_step, then the result or the typed error it ended with."""
     stream = []
 
+    @per_step
     def on_step(j, y, dist, bound):
         stream.append(np.int64(j).tobytes() + y.tobytes() + dist.tobytes() + bound.tobytes())
 
@@ -971,10 +976,11 @@ def test_blocks_step_as_one_row_at_a_time(kind, monkeypatch):
     # calls as user code, one row at a time. Both give the same steps, to the
     # bit, and end at the same step with the same result or typed error, on
     # budgets around the block sizes, eps from 1e-14 to 1e-2 and maps that
-    # overflow. A pair steps in value space, as h = f g^-1 from g(x0) does.
+    # overflow, in dimensions 1 to 4 and 16. A pair steps in value space, as
+    # h = f g^-1 from g(x0) does.
     ends = set()
-    for seed in range(8):
-        parts = _block_parts(seed)
+    for seed, n in [(seed, None) for seed in range(8)] + [(seed, 16) for seed in (1, 2, 3, 7)]:
+        parts = _block_parts(seed, n)
         if kind == "perov":
             reference, lift = _plain(parts, *_CALLABLES), None
         else:
@@ -1007,13 +1013,13 @@ def _block_of(step, budget):
 
 
 def _counting(metric, rows):
-    """metric, with the size of each stack the solve loop's unchecked form computes appended to rows;
+    """metric, with the rows of each block whose distances the solve loop computes appended to rows;
     its checked calls, as for the residual at a stop, go to metric itself and are not counted."""
 
     class Counting(WeightedMatrixMetric):
-        def _raw(self, a, b):
-            rows.append(len(a))
-            return super()._raw(a, b)
+        def _steps(self, v):
+            rows.append(len(v) - 1)
+            return super()._steps(v)
 
         def __call__(self, x, y):
             return metric(x, y)
@@ -1043,14 +1049,15 @@ _SHIPPED_SOLVES = sorted(
 @pytest.mark.parametrize(("name", "command"), _SHIPPED_SOLVES)
 def test_a_shipped_solve_computes_fewer_than_a_block_past_its_stop(name, command):
     # blocks double from one row up to _BLOCK and a run stops inside its
-    # last one, so it computes at most _BLOCK - 1 rows past its stop
+    # last one, so it computes at most _BLOCK - 1 rows past its stop; each
+    # block's distances are one product over its rows
     rows = []
     res, pf = _shipped_solve(name, command, lambda metric: _counting(metric, rows))
     steps = res.trace.iterations
-    assert set(rows) == {1}
+    assert rows == [size for _, size in _doubling_blocks(pf.budget)][: len(rows)]
     start, size = _block_of(steps - 1, pf.budget)
-    assert len(rows) == start + size
-    assert steps <= len(rows) <= steps + perov.solver._BLOCK - 1
+    assert sum(rows) == start + size
+    assert steps <= sum(rows) <= steps + perov.solver._BLOCK - 1
 
 
 def _logging(fn, name, events):
@@ -1073,7 +1080,8 @@ def test_a_library_callable_runs_once_per_step_in_step_order(kind, plain):
     parts[plain] = _logging(parts[plain], plain, events)
     eps, budget = Vector.full(1, 1e-300), 20
 
-    def on_step(j, y, dist, bound):
+    def on_step(j, ys, dists, bounds):
+        assert len(ys) == 1  # user code keeps one-row blocks
         events.append("step")
 
     if kind == "perov":
@@ -1130,7 +1138,9 @@ def test_exits_inside_a_block_match_the_one_row_path(case, status, step, monkeyp
     assert 0 < start < step
     rows = []
     blocked = _outcome("comparison", dict(parts, metric=_counting(metric, rows)), 500)
-    assert len(rows) == start + size  # the run stepped in doubling blocks up to the exit's
+    # the run stepped in doubling blocks up to the exit's, one distance product each
+    assert rows == [size for _, size in _doubling_blocks(500)][: len(rows)]
+    assert sum(rows) == start + size
     assert blocked[1].trace == IterationTrace(status, step + 1)
     if status is SolveStatus.HYPOTHESIS_VIOLATED:
         assert blocked[1].hypothesis_witness["step"] == step
@@ -1138,6 +1148,25 @@ def test_exits_inside_a_block_match_the_one_row_path(case, status, step, monkeyp
     _assert_same_outcome(blocked, _outcome("comparison", _plain(parts, "phi", "metric"), 500))
     monkeypatch.setattr(perov.solver, "_BLOCK", 1)
     _assert_same_outcome(blocked, _outcome("comparison", parts, 500))
+
+
+def test_a_stop_on_the_bound_at_a_block_end_matches_the_one_row_path(monkeypatch):
+    # with a tight gain of 1/4 the bound k^j S d_0 = 4/3 d_j falls below eps
+    # before the halved step: at step 14, the last row of the block of steps
+    # 7 to 14, where d_14 = 4^-14 is not below eps / 2. The block's screen
+    # must see that stop, and the run ends there, as one row at a time does
+    f, cert, eps = scalar_map(0.25, 1.0), certify_contraction(mat([[0.25]]), 1e-9), Vector.full(1, 6e-9)
+    assert _block_of(14, 100) == (7, 8)
+    log = StepLog()
+    res = perov_solve(f, scalar_metric(), cert, vec(0.0), eps, 100, on_step=log)
+    assert res.trace == IterationTrace(SolveStatus.CONVERGED, 15)
+    assert log.bounds[14].components[0] < 6e-9 <= 2.0 * log.step_dists[14].components[0]
+    parts = {"f": f, "metric": scalar_metric(), "k": mat([[0.25]]), "x0": vec(0.0), "eps": eps}
+    parts.update(g=None, solve=None)
+    blocked = _outcome("perov", parts, 100)
+    _assert_same_outcome(blocked, _outcome("perov", _plain(parts, "f", "metric"), 100))
+    monkeypatch.setattr(perov.solver, "_BLOCK", 1)
+    _assert_same_outcome(blocked, _outcome("perov", parts, 100))
 
 
 def test_streamed_trace_holds_no_rows():
@@ -1158,7 +1187,7 @@ def test_streamed_solve_memory_does_not_grow_with_budget():
         try:
             res = perov_solve(
                 f, metric, cert, Vector.zeros(n), Vector.full(n, 1e-12), budget,
-                on_step=lambda j, y, dist, bound: None,
+                on_step=per_step(lambda j, y, dist, bound: None),
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1265,7 +1294,7 @@ def test_non_finite_value_from_a_library_callable_is_refused(which, error, messa
     with pytest.raises(error, match=message):
         perov_solve(
             parts["f"], parts["metric"], cert, vec(0.0), EPS1,
-            on_step=lambda j, y, dist, bound: dists.append(dist.copy()),
+            on_step=per_step(lambda j, y, dist, bound: dists.append(dist.copy())),
         )
     assert len(dists) == 2
 
@@ -1317,6 +1346,7 @@ def test_plain_preimage_oracle_runs_once_per_step(g_b, budget, steps, digest):
     for g_solve in (oracle, solve):
         stream = []
 
+        @per_step
         def on_step(j, y, dist, bound):
             stream.append(np.int64(j).tobytes() + y.tobytes() + dist.tobytes() + bound.tobytes())
 
