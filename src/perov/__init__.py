@@ -9,9 +9,10 @@ successive-approximation solvers with componentwise a-priori error
 bounds, coincidence-point iteration for pairs of maps, and
 comparison-function generalizations of the linear contraction condition.
 
-Every solver hands each step, with its a-priori error bound, to an
-on_step callback as it happens, so the bounds can be audited during the
-run; the result keeps only the end status and the step count. Every
+Every solver hands its steps, with their a-priori error bounds, to an
+on_step callback a checked block of steps at a time, so the bounds can be
+audited during the run; the result keeps only the end status and the step
+count. Every
 sampled hypothesis check reports the witnesses it found rather than a
 bare verdict.
 """

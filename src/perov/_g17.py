@@ -127,7 +127,13 @@ class RowFormatter:
         starts = np.arange(rows)[:, None, None] * line + index + slot + 1
         starts = starts + np.arange(len(groups))[:, None] * span + np.arange(width) * cell
         self._starts = starts.reshape(-1)
+        # the largest work arrays, allocated once: allocated afresh for each
+        # table they can leave the heap's top free, for the allocator to hand
+        # back and fault in again for the next table
         self._digits = np.empty((len(_SCALES), starts.size), dtype=np.int64)
+        self._t = np.empty(starts.size, dtype=np.longdouble)
+        self._scratch = np.empty((len(_SCALES) - 1, starts.size), dtype=np.int64)
+        self._groups = np.empty((starts.size, 4), dtype=np.uint32)
 
     def __call__(self, first: int, values: np.ndarray) -> str:
         """The text of the rows of values, an array of shape (count, len(groups), width), count <= rows."""
@@ -138,12 +144,14 @@ class RowFormatter:
             e = np.floor(np.log10(a))
             # cls is garbage for 0, subnormals, inf and nan: their e is out of range
             cls = (e - _LOW).astype(np.intp)
-            t = a.astype(np.longdouble) * _FIRST_POWER.take(cls, mode="clip") * _SECOND_POWER.take(cls, mode="clip")
+            t = np.multiply(a, _FIRST_POWER.take(cls, mode="clip"), out=self._t[: v.size])
+            t *= _SECOND_POWER.take(cls, mode="clip")
             whole = t.astype(np.int64)
-            fraction = (t - whole).astype(np.float64)
+            t -= whole
+            fraction = t.astype(np.float64)
         digits = whole + (fraction > 0.5)
-        # the class in range, and t in [1e16, 1e17 - 1): the range test
-        # catches a log10 that is off by one
+        # the class in range, and the whole part of t in [1e16, 1e17 - 1):
+        # the range test catches a log10 that is off by one
         ok = (cls.view(np.uintp) < _CLASSES) & ((whole - 10**16).view(np.uint64) < 9 * 10**16 - 1)
         ok &= np.abs(fraction - 0.5) > _MARGINS.take(cls, mode="clip")
         if not _EXACT:
@@ -153,9 +161,9 @@ class RowFormatter:
         d = self._digits[:, : v.size]
         for row, scale in zip(d, _SCALES.ravel().tolist()):
             np.floor_divide(digits, scale, out=row)
-        d[1:] -= d[:-1] * 10_000
+        d[1:] -= np.multiply(d[:-1], 10_000, out=self._scratch[:, : v.size])
         d[-1] += 10_000
-        groups = _GROUP_WORDS.take(d[1:].T, mode="clip")
+        groups = _GROUP_WORDS.take(d[1:].T, mode="clip", out=self._groups[: v.size])
         cls = np.where(ok, cls, _CLASSES)
         word = _LEADS.take(cls + (v < 0.0) * (_CLASSES + 1))
         word |= ((d[0] + ord("0")) << 8 * _HEAD).view(np.uint64)

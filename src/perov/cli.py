@@ -407,17 +407,19 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison:
     return phi
 
 
-# Text of a chunk of iter records, at most: its one write stays below the
-# 64 KiB pipe buffer, so it never waits for the reader. Runs of fewer steps
-# than a chunk holds are never chunked.
-_CHUNK_TEXT = 64 * 1024 - 1
+# Values per chunk of iter records, step indices counted; shorter runs are
+# never chunked. Measured in fresh processes: a chunk's buffers stay below
+# the allocator's 128 KiB mmap threshold and its one write below the 64 KiB
+# pipe buffer, at any n; larger chunks fault pages in afresh for each chunk
+# in some heap layouts, and smaller ones take more time per step.
+_CHUNK_VALUES = 2048
 
 
 def _iter_writer(n: int):
     """A solver's on_step that writes the iter records, and the flush for the last ones.
 
-    Each block of steps is copied into a chunk of as many records as fit
-    _CHUNK_TEXT. A full chunk is rendered at once by perov._g17, imported
+    Each block of steps is copied into a chunk of about _CHUNK_VALUES
+    values. A full chunk is rendered at once by perov._g17, imported
     with the first one, which prints exactly what '%d' and '%.17g' print,
     and its records are one write. flush writes the steps of a partial chunk
     through the same kernel once it is loaded, and through the per-record
@@ -429,9 +431,7 @@ def _iter_writer(n: int):
     vector = ",".join(["%.17g"] * n)
     line = head + "%d" + "".join(p + vector for p in groups) + "\n"
     write = sys.stdout.write
-    # as many records as fit at their longest: a 19-digit index, 24 bytes a value
-    longest = line % (2**63 - 1, *[-2.2250738585072014e-308] * (3 * n))
-    chunk = np.empty((_CHUNK_TEXT // len(longest), 3, n))
+    chunk = np.empty((-(-_CHUNK_VALUES // (3 * n + 1)), 3, n))
     rows = start = 0  # the chunk's rows in use, and the step index of its first
     render = None
 

@@ -160,11 +160,12 @@ def chunk_rows(n):
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_a_full_chunk_stays_below_the_mmap_threshold_and_the_pipe_buffer(n, monkeypatch):
-    # a chunk's buffers below glibc's 128 KiB mmap threshold are reused from
-    # the heap, not mapped and faulted in afresh for each chunk; its one
-    # write below the 64 KiB pipe buffer does not wait for the reader. The
-    # longest records have 19-digit indices and values of 24 bytes, the most
-    # '%.17g' prints for a double
+    # the kernel's buffer, and so the text taken out of it for each chunk,
+    # stays below glibc's 128 KiB mmap threshold: the heap serves it, and
+    # it is not mapped and faulted in afresh for each chunk. The chunk's one
+    # write stays below the 64 KiB pipe buffer, so it does not wait for the
+    # reader. The longest records have 19-digit indices and values of 24
+    # bytes, the most '%.17g' prints for a double
     worst = -2.2250738585072014e-308
     assert len("%.17g" % worst) == 24
     formatters = []
@@ -187,7 +188,6 @@ def test_a_full_chunk_stays_below_the_mmap_threshold_and_the_pipe_buffer(n, monk
     assert len(text) < 64 * 1024
     [formatter] = formatters
     assert formatter._buf.nbytes < 128 * 1024
-    assert rows * 3 * n * 4 * 8 < 128 * 1024  # the largest temporary: four int64 digit groups a value
 
 
 LONG_PEROV = """\
