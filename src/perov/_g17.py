@@ -132,7 +132,7 @@ class RowFormatter:
         # back and fault in again for the next table
         self._digits = np.empty((len(_SCALES), starts.size), dtype=np.int64)
         self._t = np.empty(starts.size, dtype=np.longdouble)
-        self._scratch = np.empty((len(_SCALES) - 1, starts.size), dtype=np.int64)
+        self._products = np.empty((len(_SCALES) - 1, starts.size), dtype=np.int64)
         self._groups = np.empty((starts.size, 4), dtype=np.uint32)
 
     def __call__(self, first: int, values: np.ndarray) -> str:
@@ -161,7 +161,7 @@ class RowFormatter:
         d = self._digits[:, : v.size]
         for row, scale in zip(d, _SCALES.ravel().tolist()):
             np.floor_divide(digits, scale, out=row)
-        d[1:] -= np.multiply(d[:-1], 10_000, out=self._scratch[:, : v.size])
+        d[1:] -= np.multiply(d[:-1], 10_000, out=self._products[:, : v.size])
         d[-1] += 10_000
         groups = _GROUP_WORDS.take(d[1:].T, mode="clip", out=self._groups[: v.size])
         cls = np.where(ok, cls, _CLASSES)

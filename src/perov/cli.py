@@ -408,10 +408,11 @@ def _comparison_or_report(pf: ProblemFile, tol: float) -> LinearComparison:
 
 
 # Values per chunk of iter records, step indices counted; shorter runs are
-# never chunked. Measured in fresh processes: a chunk's buffers stay below
-# the allocator's 128 KiB mmap threshold and its one write below the 64 KiB
-# pipe buffer, at any n; larger chunks fault pages in afresh for each chunk
-# in some heap layouts, and smaller ones take more time per step.
+# never chunked. Measured in fresh processes: for n up to 64 a chunk's
+# buffers stay below the allocator's 128 KiB mmap threshold and its one
+# write below the 64 KiB pipe buffer; larger chunks fault pages in afresh
+# for each chunk in some heap layouts, and smaller ones take more time per
+# step.
 _CHUNK_VALUES = 2048
 
 
