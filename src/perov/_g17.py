@@ -2,17 +2,18 @@
 
 Below 10 every digit after a value's leading one is a fraction digit, so
 its 17 significant digits fix its text. For 1e-38 <= |v| < 10 they are the
-rounded t for the long-double product t = |v| 10^p, p = 16 - floor(log10 |v|).
-For p in 16..27 the power of ten is exact and t takes one product, whose
-rounding error is at most half an ulp of t; t < 2^57 makes that at most
-2^-8. For p in 28..54 (|v| < 1e-11) t takes two, by 10^27 and 10^(p - 27),
-both exact, and the error is at most 2^-6. Rounding t gives the correctly
-rounded digits whenever t lies in [1e16, 1e17) and its fraction clears 1/2
-by more than that bound. A float64 log10 can be off by one near a power of
-ten; the range test on the unrounded t catches that. Every other value, and
-every value when the long double has fewer than 64 bits of mantissa, is
-printed by '%.17g' itself: zero, subnormals, |v| outside [1e-38, 10),
-near-ties, inf and nan.
+rounded t = |v| 10^p, p = 16 - floor(log10 |v|) in 16..54. With PH the
+double nearest 10^p and PL the double nearest 10^p - PH (zero for p <= 22),
+Dekker's product gives |v| PH exactly as a double h plus its error, and
+t = h + l, l = error + |v| PL, is exact for p <= 22 and within 2^-47 for
+larger p. As t >= 2^53, h is an integer. Rounding t gives the correctly
+rounded digits whenever its whole part lies in [1e16, 1e17 - 1) and l's
+fraction is more than 2^-40 from 1/2; closer than that is, all but always,
+an exact tie. Each step is one correctly rounded operation on doubles, so
+the digits are the same on every host. A float64 log10 can be off by one
+near a power of ten, and differs between numpy's SIMD targets; the range
+test on the whole part catches that. '%.17g' itself prints every other
+value: zero, subnormals, |v| outside [1e-38, 10), ties, inf and nan.
 
 A record is laid out in fixed slots: the head, the index, and per value
 the separator before it and its field. A field holds the sign with any
@@ -28,8 +29,9 @@ import numpy as np
 
 __all__ = ["RowFormatter"]
 
-_LOW, _HIGH = -38, 0  # the decimal exponents e of the product; 10^(16 - e) is exact for e >= -11
+_LOW, _HIGH = -38, 0  # the decimal exponents e of the product, p = 16 - e
 _CLASSES = _HIGH - _LOW + 1
+_TIE = 2.0**-40  # how far l's fraction must be from 1/2; l is off by less than 2^-47
 
 # The slots of a value's field: the sign and any '0.' lead, the leading
 # digit, the point that may follow it, 16 digits as four groups of four,
@@ -73,15 +75,21 @@ def _tables():
     return leads, exp, chars.view(np.uint32).reshape(-1)
 
 
-_POWERS = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10  # 10^0 .. 10^27
-_EXACT = np.finfo(np.longdouble).nmant >= 63 and all(
-    p.as_integer_ratio() == (10**i, 1) for i, p in enumerate(_POWERS)
-)
-# per class, 10^p as two exact factors, p = 16 - e in 16..54, and t's error bound
-_P = 16 - np.arange(_LOW, _HIGH + 1)
-_FIRST_POWER = _POWERS[np.minimum(_P, 27)]
-_SECOND_POWER = _POWERS[np.maximum(_P - 27, 0)]
-_MARGINS = np.where(_P > 27, 2.0**-6, 2.0**-8)
+def _split(x, hi, lo):
+    """Dekker's split of x into hi + lo, each of at most 26 significant bits."""
+    np.multiply(x, 2.0**27 + 1, out=hi)
+    np.subtract(hi, x, out=lo)
+    np.subtract(hi, lo, out=hi)
+    np.subtract(x, hi, out=lo)
+    return hi, lo
+
+
+# per class, p = 16 - e in 16..54 and 10^p = PH + PL: PH split in halves
+# for Dekker's product, and PL, zero for p <= 22
+_P = [16 - e for e in range(_LOW, _HIGH + 1)]
+_PH = np.array([float(10**p) for p in _P])
+_PL = np.array([float(10**p - int(h)) for p, h in zip(_P, _PH.tolist())])
+_PH_HI, _PH_LO = _split(_PH, np.empty(_CLASSES), np.empty(_CLASSES))
 _LEADS, _EXPS, _GROUP_WORDS = _tables()
 _SCALES = np.array([10**16, 10**12, 10**8, 10**4, 1])[:, None]
 _TENS = 10 ** np.arange(_INDEX - 1, -1, -1, dtype=np.int64)  # 10^18 .. 10^0
@@ -131,7 +139,7 @@ class RowFormatter:
         # table they can leave the heap's top free, for the allocator to hand
         # back and fault in again for the next table
         self._digits = np.empty((len(_SCALES), starts.size), dtype=np.int64)
-        self._t = np.empty(starts.size, dtype=np.longdouble)
+        self._work = np.empty((7, starts.size))
         self._products = np.empty((len(_SCALES) - 1, starts.size), dtype=np.int64)
         self._groups = np.empty((starts.size, 4), dtype=np.uint32)
 
@@ -139,23 +147,33 @@ class RowFormatter:
         """The text of the rows of values, an array of shape (count, len(groups), width), count <= rows."""
         v = values.reshape(-1)
         count = len(values)
+        a, power, h, hi, lo, l, product = self._work[:, : v.size]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a = np.abs(v)
-            e = np.floor(np.log10(a))
+            np.abs(v, out=a)
+            e = np.floor(np.log10(a, out=l), out=l)
             # cls is garbage for 0, subnormals, inf and nan: their e is out of range
             cls = (e - _LOW).astype(np.intp)
-            t = np.multiply(a, _FIRST_POWER.take(cls, mode="clip"), out=self._t[: v.size])
-            t *= _SECOND_POWER.take(cls, mode="clip")
-            whole = t.astype(np.int64)
-            t -= whole
-            fraction = t.astype(np.float64)
-        digits = whole + (fraction > 0.5)
+            np.multiply(a, _PH.take(cls, mode="clip", out=power), out=h)
+            # Dekker's product: l = |v| PH - h exactly, from the halves of |v| and PH
+            _split(a, hi, lo)
+            np.multiply(hi, _PH_HI.take(cls, mode="clip", out=power), out=l)
+            l -= h
+            l += np.multiply(lo, power, out=product)
+            np.multiply(hi, _PH_LO.take(cls, mode="clip", out=power), out=product)
+            l += product
+            l += np.multiply(lo, power, out=product)
+            l += np.multiply(a, _PL.take(cls, mode="clip", out=power), out=product)
+            # t = h + l with h an integer: t's whole part, and l's fraction
+            whole = h.astype(np.int64)
+            whole += np.floor(l, out=product).astype(np.int64)
+            l -= product
+        digits = whole + (l > 0.5)
         # the class in range, and the whole part of t in [1e16, 1e17 - 1):
         # the range test catches a log10 that is off by one
         ok = (cls.view(np.uintp) < _CLASSES) & ((whole - 10**16).view(np.uint64) < 9 * 10**16 - 1)
-        ok &= np.abs(fraction - 0.5) > _MARGINS.take(cls, mode="clip")
-        if not _EXACT:
-            ok[:] = False
+        # and l's fraction clear of 1/2 by more than l's error
+        l -= 0.5
+        ok &= np.abs(l, out=l) > _TIE
         # the leading digit and four groups of four, as ASCII; the last
         # group drops its trailing zeros
         d = self._digits[:, : v.size]

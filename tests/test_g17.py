@@ -3,14 +3,22 @@
 The iter records of a solve are rendered a chunk at a time, one write per
 chunk; a partial last chunk goes through the same kernel once a full one has
 loaded it, and through the per-record template otherwise. These tests
-compare the kernel with '%.17g' value by value, check that few values leave
-its product for '%.17g' itself, compare the stdout of solves several chunks
-long with the per-record rendering of the same steps, and pin the chunk
-sizes under the allocator's and the pipe's thresholds.
+compare the kernel with '%.17g' value by value, on this host and with
+numpy's SIMD dispatch off, check that only exact ties and values outside its
+range leave its product for '%.17g' itself, check the product's tables,
+compare the stdout of solves several chunks long with the per-record
+rendering of the same steps, and pin the chunk sizes under the allocator's
+and the pipe's thresholds.
 """
 
 import contextlib
 import io
+import os
+import pathlib
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,10 +40,41 @@ def expected(values):
     return ["%d %.17g\n" % (i, v) for i, v in enumerate(np.asarray(values, dtype=np.float64).ravel().tolist())]
 
 
+def exact_t(x):
+    """|x| 10^(16 - e) exactly, e the decimal exponent of x: its 17 significant digits and the rest."""
+    return abs(Fraction(x)) * Fraction(10) ** (16 - Decimal(x).adjusted())
+
+
+def is_tie(x):
+    """Whether x's exact decimal has 18 significant digits, the last a 5."""
+    return exact_t(x) % 1 == Fraction(1, 2)
+
+
+def ties(rng):
+    # m / 2^k with m odd has the exact decimal m 5^k / 10^k: 18 significant
+    # digits ending in 5 when m 5^k has 18 digits, e.g. 2^-25 =
+    # 2.98023223876953125e-08. Below 10 that needs k >= 17, and k <= 25 as
+    # 5^26 has 19 digits
+    candidates = [
+        m / 2.0**k
+        for k in range(17, 26)
+        for m in (rng.integers(-(-(10**17) // 5**k) // 2, 10**18 // 5**k // 2, 40) * 2 + 1).tolist()
+    ]
+    found = [x for x in candidates if is_tie(x)]
+    return np.array(found) * rng.choice([-1.0, 1.0], len(found))
+
+
+def near_ties(rng):
+    # values whose t has a fraction within 2^-6 of 1/2, but not 1/2
+    values = 10.0 ** rng.uniform(-38.0, 1.0, 8_000)
+    near = [x for x in values.tolist() if 0 < abs(exact_t(x) % 1 - Fraction(1, 2)) < Fraction(1, 64)]
+    return np.array(near) * rng.choice([-1.0, 1.0], len(near))
+
+
 def samples():
     rng = np.random.default_rng(1817)
     count = 20_000
-    powers = 10.0 ** np.arange(-30, 31)
+    powers = 10.0 ** np.arange(-38, 31)
     return {
         "uniform": rng.uniform(-1.0, 1.0, count),
         "log-uniform": rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-40.0, 20.0, count),
@@ -49,6 +88,8 @@ def samples():
             [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e17, -1.5e17, 1e300,
              np.inf, -np.inf, np.nan, 9.9999999999999995e-08, 0.5, 12345.0, 0.1]
         ),
+        "ties": ties(rng),
+        "near ties": near_ties(rng),
     }
 
 
@@ -58,26 +99,38 @@ def test_kernel_prints_what_percent_17g_prints(name):
     assert rendered(values) == expected(values)
 
 
-def test_short_long_double_prints_every_value_through_percent_17g(monkeypatch):
-    # where the long double has fewer than 64 mantissa bits nothing takes the product
-    monkeypatch.setattr(g17, "_EXACT", False)
-    values = np.concatenate(list(samples().values()))
-    assert rendered(values) == expected(values)
-
-
-@pytest.mark.skipif(not g17._EXACT, reason="without a 64-bit long double every value takes '%.17g'")
-def test_only_near_ties_and_values_of_10_or_more_take_percent_17g(monkeypatch):
-    # values shaped like a long solve's records: y in [-3, 3], dist and bound
-    # log-uniform over [1e-13, 10); near-ties alone send about 1-3 % of them
-    # to '%.17g'. Every value of 10 or more goes there too.
-    taken = []
+@pytest.fixture
+def taken(monkeypatch):
+    """The values the kernel hands to '%.17g' itself."""
+    values = []
     real = g17._fallback
 
-    def counting(values):
-        taken.extend(values)
-        return real(values)
+    def counting(batch):
+        values.extend(batch)
+        return real(batch)
 
     monkeypatch.setattr(g17, "_fallback", counting)
+    return values
+
+
+def test_the_tie_sets_hold_what_they_name():
+    sets = samples()
+    assert len(sets["ties"]) > 200 and all(map(is_tie, sets["ties"].tolist()))
+    assert 2.0**-25 in np.abs(sets["ties"])
+    assert len(sets["near ties"]) > 100 and not any(map(is_tie, sets["near ties"].tolist()))
+
+
+def test_near_ties_take_the_product(taken):
+    # t's fraction within 2^-6 of 1/2 is printed by the product, not '%.17g'
+    values = samples()["near ties"]
+    assert rendered(values) == expected(values)
+    assert taken == []
+
+
+def test_only_ties_and_values_outside_the_product_take_percent_17g(taken):
+    # values shaped like a long solve's records: y in [-3, 3], dist and bound
+    # log-uniform over [1e-13, 10). Every value of 10 or more goes to '%.17g',
+    # and of those below 10 only exact ties
     rng = np.random.default_rng(23)
     y = rng.uniform(-3.0, 3.0, (2_000, 8))
     dist, bound = 10.0 ** rng.uniform(-13.0, 1.0, (2, 2_000, 8))
@@ -87,15 +140,50 @@ def test_only_near_ties_and_values_of_10_or_more_take_percent_17g(monkeypatch):
     assert g17.RowFormatter(len(table), "", [" "], table.shape[1])(0, table[:, None]) == "".join(
         "%d " % i + ",".join("%.17g" % x for x in row) + "\n" for i, row in enumerate(table.tolist())
     )
-    small = np.concatenate((y, dist, bound), axis=None)
     assert set(wide.tolist()) <= set(taken)
-    assert len(taken) - wide.size <= 0.05 * small.size
+    assert [x for x in taken if 1e-38 <= abs(x) < 10 and not is_tie(x)] == []
 
 
-def test_power_table_is_exact():
-    assert g17._EXACT == (np.finfo(np.longdouble).nmant >= 63)
-    if g17._EXACT:
-        assert [p.as_integer_ratio() for p in g17._POWERS] == [(10**i, 1) for i in range(28)]
+def significant_bits(x):
+    n = abs(Fraction(x)).numerator
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+def test_power_tables_split_ten_to_the_p():
+    for i, p in enumerate(g17._P):
+        ph, hi, lo, pl = (float(table[i]) for table in (g17._PH, g17._PH_HI, g17._PH_LO, g17._PL))
+        assert Fraction(hi) + Fraction(lo) == Fraction(ph), p
+        assert significant_bits(hi) <= 26 and significant_bits(lo) <= 26, p
+        assert (pl == 0) == (p <= 22), p
+        assert abs(int(ph) + int(pl) - 10**p) * 2**100 <= 10**p, p
+
+
+def test_kernel_prints_what_percent_17g_prints_without_simd_dispatch():
+    # numpy's ufuncs pick a SIMD target by the CPU; with every target this
+    # host has switched off, the kernel must still print '%.17g'
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target on this host")
+    here = pathlib.Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "import test_g17\n"
+        "print(*[t for t in sys.argv[1:] if __cpu_features__[t]])\n"
+        "for name, values in test_g17.samples().items():\n"
+        "    print(name, test_g17.rendered(values) == test_g17.expected(values))\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *targets], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [""] + [f"{name} True" for name in samples()]
 
 
 def test_rows_carry_their_prefixes():
