@@ -429,7 +429,7 @@ def _iter_writer(n: int):
     part way has printed the records of every step it took.
     """
     head, groups = "#REC kind=iter n=", (" y=", " dist=", " bound=")
-    vector = ",".join(["%.17g"] * n)
+    vector = _vec_template(n)
     line = head + "%d" + "".join(p + vector for p in groups) + "\n"
     write = sys.stdout.write
     chunk = np.empty((-(-_CHUNK_VALUES // (3 * n + 1)), 3, n))

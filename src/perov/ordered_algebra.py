@@ -9,7 +9,7 @@ semantics themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -58,21 +58,82 @@ def _same_dim(a: int, b: int) -> None:
         raise UsageError(f"dimension mismatch: {a} vs {b}")
 
 
-@dataclass(frozen=True, eq=False)
-class SquareMatrix:
-    """An n-by-n real matrix with finite entries, used as an immutable value."""
+class _Frozen:
+    """An immutable value holding one finite float array of ndim _ndim, as its attribute _field.
 
-    entries: np.ndarray
+    Values of the same class add and subtract, scalars scale them, and two
+    values are equal when their arrays are; a value of one class never
+    meets one of another.
+    """
 
-    def __post_init__(self):
-        arr = _frozen_array(self.entries, 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise UsageError(f"matrix must be square, got shape {arr.shape}")
-        object.__setattr__(self, "entries", arr)
+    _field: str
+    _ndim: int
+
+    def __init__(self, values):
+        object.__setattr__(self, self._field, _frozen_array(values, self._ndim))
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray):
+        # internal: arr must be a float array of the class's shape; skips
+        # the shape checks, keeps the finiteness guarantee
+        value = object.__new__(cls)
+        object.__setattr__(value, cls._field, _freeze(arr))
+        return value
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def _array(self) -> np.ndarray:
+        return getattr(self, self._field)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self._array.shape[0]
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _same_dim(self.n, other.n)
+        return self._wrap(self._array + other._array)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _same_dim(self.n, other.n)
+        return self._wrap(self._array - other._array)
+
+    def __mul__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return self._wrap(self._array * float(other))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return bool(np.array_equal(self._array, other._array))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._array.tolist()!r})"
+
+
+class SquareMatrix(_Frozen):
+    """An n-by-n real matrix with finite entries, used as an immutable value."""
+
+    _field, _ndim = "entries", 2
+    entries: np.ndarray
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        if self.n != self.entries.shape[1]:
+            raise UsageError(f"matrix must be square, got shape {self.entries.shape}")
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
@@ -86,33 +147,6 @@ class SquareMatrix:
     def diagonal(cls, values) -> "SquareMatrix":
         return cls(np.diag(np.asarray(values, dtype=float)))
 
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "SquareMatrix":
-        # internal: arr must be a square float array; skips the shape
-        # checks, keeps the finiteness guarantee
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", _freeze(arr))
-        return m
-
-    def __add__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        _same_dim(self.n, other.n)
-        return SquareMatrix._wrap(self.entries + other.entries)
-
-    def __sub__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        _same_dim(self.n, other.n)
-        return SquareMatrix._wrap(self.entries - other.entries)
-
-    def __mul__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return SquareMatrix._wrap(self.entries * float(other))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if isinstance(other, SquareMatrix):
             _same_dim(self.n, other.n)
@@ -121,29 +155,15 @@ class SquareMatrix:
             return mat_apply(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self.entries, other.entries))
 
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SquareMatrix({self.entries.tolist()!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class Vector:
+class Vector(_Frozen):
     """A point of R^n (also a distance value), immutable with finite components."""
 
+    _field, _ndim = "components", 1
     components: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", _frozen_array(self.components, 1))
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
+    def __init__(self, components):  # the base's, with the attribute's name as keyword
+        super().__init__(components)
 
     @classmethod
     def zeros(cls, n: int) -> "Vector":
@@ -158,14 +178,6 @@ class Vector:
         return cls(np.full(n, float(value)))
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Vector":
-        # internal: arr must be a 1-d float array; skips the shape checks,
-        # keeps the finiteness guarantee
-        v = object.__new__(cls)
-        object.__setattr__(v, "components", _freeze(arr))
-        return v
-
-    @classmethod
     def _wrap_rows(cls, block: np.ndarray) -> list["Vector"]:
         # internal: block must be a (count, n) float array; one finiteness
         # check and one copy cover all its rows, and each Vector holds a
@@ -177,40 +189,11 @@ class Vector:
             rows.append(v)
         return rows
 
-    def __add__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        _same_dim(self.n, other.n)
-        return Vector._wrap(self.components + other.components)
-
-    def __sub__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        _same_dim(self.n, other.n)
-        return Vector._wrap(self.components - other.components)
-
     def __neg__(self):
         return Vector._wrap(-self.components)
 
-    def __mul__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return Vector._wrap(self.components * float(other))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return bool(np.array_equal(self.components, other.components))
-
-    __hash__ = None
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.components, dtype=dtype)
-
-    def __repr__(self):
-        return f"Vector({self.components.tolist()!r})"
 
 
 @dataclass(frozen=True)

@@ -472,10 +472,8 @@ def _iterate(
     if isinstance(metric, WeightedMatrixMetric):
         step_dists = metric._steps
     else:  # a user metric is called on the (1, n) rows of each step
-        metric_raw = _lowered(metric, n)
-
         def step_dists(v):
-            return metric_raw(v[:-1], v[1:])
+            return metric(v[:-1], v[1:])
 
     h = None if g is None else _value_map(f, g, g_solve)
     literal = g is not None and h is None  # x_{j+1} = g^-1(f x_j), solved at every step

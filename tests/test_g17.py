@@ -40,6 +40,31 @@ def expected(values):
     return ["%d %.17g\n" % (i, v) for i, v in enumerate(np.asarray(values, dtype=np.float64).ravel().tolist())]
 
 
+def lines(x):
+    return x.splitlines(keepends=True) if isinstance(x, str) else list(x)
+
+
+def difference(got, want):
+    """Where two texts or lists first differ: their lengths and the first differing line or item."""
+    got, want = lines(got), lines(want)
+    i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
+    head = f"{len(got)} lines or items, {len(want)} expected; the first difference is at {i}"
+    if i < min(len(got), len(want)) and all(isinstance(x[i], str) and x[i].count("\n") > 1 for x in (got, want)):
+        return f"{head}: {difference(got[i], want[i])}"
+    shown, wanted = (repr(x[i])[:2000] if i < len(x) else "nothing" for x in (got, want))
+    return f"{head}: {shown} where {wanted} is expected"
+
+
+def assert_same(got, want):
+    """Assert got == want for two texts or lists, reporting only where they first differ.
+
+    pytest reports a failed == between texts or lists of thousands of lines
+    with a difflib diff, which can take minutes to build.
+    """
+    if got != want:
+        raise AssertionError(difference(got, want))
+
+
 def exact_t(x):
     """|x| 10^(16 - e) exactly, e the decimal exponent of x: its 17 significant digits and the rest."""
     return abs(Fraction(x)) * Fraction(10) ** (16 - Decimal(x).adjusted())
@@ -96,7 +121,7 @@ def samples():
 @pytest.mark.parametrize("name", list(samples()))
 def test_kernel_prints_what_percent_17g_prints(name):
     values = samples()[name]
-    assert rendered(values) == expected(values)
+    assert_same(rendered(values), expected(values))
 
 
 @pytest.fixture
@@ -123,8 +148,8 @@ def test_the_tie_sets_hold_what_they_name():
 def test_near_ties_take_the_product(taken):
     # t's fraction within 2^-6 of 1/2 is printed by the product, not '%.17g'
     values = samples()["near ties"]
-    assert rendered(values) == expected(values)
-    assert taken == []
+    assert_same(rendered(values), expected(values))
+    assert_same(taken, [])
 
 
 def test_only_ties_and_values_outside_the_product_take_percent_17g(taken):
@@ -137,11 +162,12 @@ def test_only_ties_and_values_outside_the_product_take_percent_17g(taken):
     wide = np.concatenate([np.arange(10.0, 100.0), 10.0 ** rng.uniform(1.0, 300.0, 1_910)])
     wide *= rng.choice([-1.0, 1.0], wide.size)
     table = np.hstack((y, dist, bound, wide.reshape(2_000, -1)))
-    assert g17.RowFormatter(len(table), "", [" "], table.shape[1])(0, table[:, None]) == "".join(
-        "%d " % i + ",".join("%.17g" % x for x in row) + "\n" for i, row in enumerate(table.tolist())
+    assert_same(
+        g17.RowFormatter(len(table), "", [" "], table.shape[1])(0, table[:, None]),
+        "".join("%d " % i + ",".join("%.17g" % x for x in row) + "\n" for i, row in enumerate(table.tolist())),
     )
     assert set(wide.tolist()) <= set(taken)
-    assert [x for x in taken if 1e-38 <= abs(x) < 10 and not is_tie(x)] == []
+    assert_same([x for x in taken if 1e-38 <= abs(x) < 10 and not is_tie(x)], [])
 
 
 def significant_bits(x):
@@ -272,7 +298,7 @@ def test_a_full_chunk_stays_below_the_mmap_threshold_and_the_pipe_buffer(n, monk
             on_step(10**18 + rows, *np.full((3, 1, n), worst))
             rows += 1
     [text] = out.writes
-    assert text == "".join(per_record([(10**18 + i, *np.full((3, n), worst)) for i in range(rows)], n))
+    assert_same(text, "".join(per_record([(10**18 + i, *np.full((3, n), worst)) for i in range(rows)], n)))
     assert len(text) < 64 * 1024
     [formatter] = formatters
     assert formatter._buf.nbytes < 128 * 1024
@@ -352,7 +378,7 @@ def test_long_solve_prints_the_per_record_bytes(tmp_path, monkeypatch, command, 
     records = [line + "\n" for line in out.getvalue().splitlines() if line.startswith("#REC kind=iter ")]
     rows = chunk_rows(n)
     assert len(steps) > 3 * rows and len(steps) % rows, "several chunks and a partial one"
-    assert records == per_record(steps, n)
+    assert_same(records, per_record(steps, n))
 
 
 def blocks(steps, sizes):
@@ -394,7 +420,7 @@ def test_failing_solve_prints_every_step_first(tmp_path, monkeypatch):
     records = per_record(steps, n)
     writes = out.writes
     first = writes.index("".join(records[: chunk_rows(n)]))
-    assert writes[first : first + 2] == ["".join(records[: chunk_rows(n)]), "".join(records[chunk_rows(n) :])]
+    assert_same(writes[first : first + 2], ["".join(records[: chunk_rows(n)]), "".join(records[chunk_rows(n) :])])
     assert writes[first + 2].startswith("evaluation failure: map evaluation")
 
 
@@ -439,4 +465,4 @@ def test_iter_writer_flushes_a_tail_through_the_loaded_kernel(monkeypatch):
         flush()  # a second flush has nothing left to write
     assert tables == [(0, rows), (rows, rows // 2)]
     records = per_record(steps, n)
-    assert out.writes == ["".join(records[:rows]), "".join(records[rows:])]
+    assert_same(out.writes, ["".join(records[:rows]), "".join(records[rows:])])

@@ -120,6 +120,96 @@ def test_defensive_copy_of_input():
     assert v.components[0] == 1.0
 
 
+def test_values_cannot_be_reassigned_or_deleted():
+    for value, name in ((mat([[1.0]]), "entries"), (vec(1.0), "components"), (vec(1.0), "other")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, np.zeros(1))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert mat([[1.0]]).entries.tolist() == [[1.0]] and vec(1.0).components.tolist() == [1.0]
+
+
+def test_the_constructors_take_their_attribute_names():
+    assert SquareMatrix(entries=[[2.0]]) == mat([[2.0]])
+    assert Vector(components=[2.0, 3.0]) == vec(2.0, 3.0)
+
+
+def test_a_vector_and_a_matrix_do_not_mix():
+    a, v = mat([[1.0]]), vec(1.0)
+    for left, right in ((a, v), (v, a)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+        with pytest.raises(TypeError):
+            left * right
+        assert (left == right) is False and (left != right) is True
+    with pytest.raises(TypeError):
+        v @ a
+
+
+@pytest.mark.parametrize("scalar", [2, 2.0, True, np.int64(2), np.int8(2), np.float64(2.0), np.float32(2.0)])
+def test_scalar_multiples(scalar):
+    a, v = mat([[1.0, -2.0], [0.5, 4.0]]), vec(1.5, -3.0)
+    s = float(scalar)
+    assert a * scalar == scalar * a == mat([[s, -2.0 * s], [0.5 * s, 4.0 * s]])
+    assert v * scalar == vec(1.5 * s, -3.0 * s)
+    if not isinstance(scalar, np.generic):  # numpy scalars take a Vector on their right as an array
+        assert scalar * v == vec(1.5 * s, -3.0 * s)
+    assert type(a * scalar) is SquareMatrix and type(v * scalar) is Vector
+
+
+def test_values_do_not_take_non_scalars():
+    for value in (mat([[1.0]]), vec(1.0)):
+        for other in ("2", None, [2.0], 2j):
+            with pytest.raises(TypeError):
+                value * other
+            with pytest.raises(TypeError):
+                value + other
+        assert (value == "x") is False
+
+
+def test_repr_text():
+    assert repr(vec(0.1, -2.5e-300)) == "Vector([0.1, -2.5e-300])"
+    assert repr(mat([[1.0 / 3.0, 0.0], [-0.0, 1e17]])) == "SquareMatrix([[0.3333333333333333, 0.0], [-0.0, 1e+17]])"
+
+
+def test_values_are_unhashable():
+    for value in (mat([[1.0]]), vec(1.0)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+def test_as_array_a_vector_is_a_writeable_copy():
+    v = vec(1.0, 2.0)
+    arr = np.asarray(v)
+    assert arr.flags.writeable
+    arr[0] = 9.0
+    assert v.components.tolist() == [1.0, 2.0]
+    assert np.asarray(v, dtype=np.float32).dtype == np.float32
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wrap_refuses_non_finite_input(bad):
+    with pytest.raises(UsageError, match="entries must be finite"):
+        Vector._wrap(np.array([1.0, bad]))
+    with pytest.raises(UsageError, match="entries must be finite"):
+        SquareMatrix._wrap(np.array([[1.0, 0.0], [bad, 1.0]]))
+    with pytest.raises(UsageError, match="entries must be finite"):
+        Vector._wrap_rows(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+
+def test_wrap_rows_are_views_of_one_frozen_copy():
+    block = np.arange(6.0).reshape(3, 2)
+    rows = Vector._wrap_rows(block)
+    block[0, 0] = 9.0
+    assert [type(r) for r in rows] == [Vector] * 3
+    assert [r.components.tolist() for r in rows] == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    owner = rows[0].components.base
+    assert all(r.components.base is owner for r in rows) and owner.shape == (6,)
+    assert not owner.flags.writeable and not any(r.components.flags.writeable for r in rows)
+
+
 # -- ring arithmetic -------------------------------------------------------
 
 
