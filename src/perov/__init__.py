@@ -15,111 +15,20 @@ audited during the run; the result keeps only the end status and the step
 count. Every
 sampled hypothesis check reports the witnesses it found rather than a
 bare verdict.
+
+Each module's __all__ is the one list of its public names; the package's
+are those of the six modules imported below.
 """
 
-from .contraction import (
-    CERT_RESIDUAL_MAX,
-    ComparisonAxiomReport,
-    ContractionCertificate,
-    LinearComparison,
-    certify_contraction,
-    check_comparison_axioms,
-    comparison_apply,
-    linear_comparison,
-    spectral_radius,
-)
-from .errors import (
-    EvaluationError,
-    NotCertifiedError,
-    PreimageError,
-    UsageError,
-)
-from .metric import (
-    MetricAxiomReport,
-    WeightedMatrixMetric,
-    check_metric_axioms,
-    converged,
-    metric_eval,
-)
-from .ordered_algebra import (
-    OrthantCone,
-    SquareMatrix,
-    Vector,
-    cone_contains,
-    mat_apply,
-    order_leq,
-    order_ll,
-    ring_leq,
-    ring_norm,
-    sup_norm,
-)
-from .sampling import cone_sampler, interior_sampler, uniform_sampler
-from .solver import (
-    PREIMAGE_TOL,
-    WEAK_COMPAT_TOL,
-    ConditionCReport,
-    IterationTrace,
-    LipschitzReport,
-    MapSpec,
-    SolveResult,
-    SolveStatus,
-    affine_preimage,
-    comparison_solve,
-    identity_map,
-    jungck_solve,
-    perov_solve,
-    verify_condition_c,
-    verify_matrix_lipschitz,
-)
+from . import contraction, errors, metric, ordered_algebra, sampling, solver
+from .contraction import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .metric import *  # noqa: F403
+from .ordered_algebra import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CERT_RESIDUAL_MAX",
-    "ComparisonAxiomReport",
-    "ConditionCReport",
-    "ContractionCertificate",
-    "EvaluationError",
-    "IterationTrace",
-    "LinearComparison",
-    "LipschitzReport",
-    "MapSpec",
-    "MetricAxiomReport",
-    "NotCertifiedError",
-    "OrthantCone",
-    "PREIMAGE_TOL",
-    "PreimageError",
-    "SolveResult",
-    "SolveStatus",
-    "SquareMatrix",
-    "UsageError",
-    "Vector",
-    "WEAK_COMPAT_TOL",
-    "WeightedMatrixMetric",
-    "affine_preimage",
-    "certify_contraction",
-    "check_comparison_axioms",
-    "check_metric_axioms",
-    "comparison_apply",
-    "comparison_solve",
-    "cone_contains",
-    "cone_sampler",
-    "converged",
-    "identity_map",
-    "interior_sampler",
-    "jungck_solve",
-    "linear_comparison",
-    "mat_apply",
-    "metric_eval",
-    "order_leq",
-    "order_ll",
-    "perov_solve",
-    "ring_leq",
-    "ring_norm",
-    "spectral_radius",
-    "sup_norm",
-    "uniform_sampler",
-    "verify_condition_c",
-    "verify_matrix_lipschitz",
-    "__version__",
-]
+_MODULES = (contraction, errors, metric, ordered_algebra, sampling, solver)
+__all__ = [*sorted({name for module in _MODULES for name in module.__all__}), "__version__"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["UsageError", "NotCertifiedError", "PreimageError", "EvaluationError"]
+
 
 class UsageError(ValueError):
     """The caller violated a precondition (bad dimensions, invalid values)."""

@@ -86,6 +86,9 @@ class _Frozen:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # copies and pickles are rebuilt, and so frozen, by the constructor
+        return type(self), (self._array,)
+
     @property
     def _array(self) -> np.ndarray:
         return getattr(self, self._field)

@@ -409,11 +409,11 @@ def _iterate(
 ) -> SolveResult:
     """The iteration behind all three solvers; exactly one of cert and phi is given.
 
-    g=None means the identity: no preimage call and no weak-compatibility
-    pass. When _value_map gives h = f g^-1, the steps are v_{j+1} = h(v_j)
-    from v_0 = g(x0), as for a self-map, and x = g^-1(v) is solved and
-    checked only on the first step, where the step test passes, and at
-    every exit; otherwise every step solves x_{j+1} = g^-1(f x_j). Bounds
+    A self-map (g=None) is the case g = id, with h = f and no
+    weak-compatibility pass. When h = f g^-1 (from _value_map for a pair),
+    the steps are v_{j+1} = h(v_j) from v_0 = g(x0), and x = g^-1(v) is
+    solved and checked only on the first step, where the step test passes,
+    and at every exit; otherwise every step solves x_{j+1} = g^-1(f x_j). Bounds
     start at S d_0 under cert and at d_0 under phi, then follow k or phi.
     The run stops once the halved step distance, or under cert the bound,
     falls strictly below eps, provided the step and the residual
@@ -467,25 +467,29 @@ def _iterate(
             budget = 0  # no step is taken
     eps = eps.components
     eps_half = 0.5 * eps
-    x = x0.components[None]
-    prev_val = x if g is None else g(x)
-    if isinstance(metric, WeightedMatrixMetric):
-        step_dists = metric._steps
-    else:  # a user metric is called on the (1, n) rows of each step
-        def step_dists(v):
-            return metric(v[:-1], v[1:])
-
-    h = None if g is None else _value_map(f, g, g_solve)
-    literal = g is not None and h is None  # x_{j+1} = g^-1(f x_j), solved at every step
-    step_map = f if h is None else h
-    step_raw = _lowered(step_map, n)
-    if g is not None:  # a user oracle gets the row as a frozen Vector
+    coincidence = g is not None
+    if coincidence:  # a user oracle gets the row as a frozen Vector
+        h = _value_map(f, g, g_solve)
         g_raw = _lowered(g, n)
         solve = _lowered(g_solve, n, lambda row: g_solve(_vec(row)).components[None])
 
         def lift(v):
             return _checked_preimage(solve, g_raw, g_solve, v)
 
+    else:  # a self-map: the case g = id, whose preimage is the identity too
+        g = lift = _TAG_FUNCS["identity"]
+        h = f
+    x = x0.components[None]
+    prev_val = g(x)
+    if isinstance(metric, WeightedMatrixMetric):
+        step_dists = metric._steps
+    else:  # a user metric is called on the (1, n) rows of each step
+        def step_dists(v):
+            return metric(v[:-1], v[1:])
+
+    literal = h is None  # x_{j+1} = g^-1(f x_j), solved at every step
+    step_map = f if literal else h
+    step_raw = _lowered(step_map, n)
     phi_raw = None if phi is None else _lowered(phi, n)
     # a block holds more than one step only where no step calls user code
     blocked = (
@@ -545,8 +549,7 @@ def _iterate(
             if clean:  # the block goes out at once
                 if on_step is not None:
                     on_step(j0, v[:-1], ds, bs)
-                prev_val, prev_d = vals[-1], ds[-1:]
-                x = prev_val if g is None else None
+                prev_val, prev_d, x = vals[-1], ds[-1:], None
             else:  # the per-step tests, row by row
                 for i in range(rows):
                     j, y, d_j, b_j = j0 + i, vals[i + 1], ds[i : i + 1], bs[i : i + 1]
@@ -581,10 +584,7 @@ def _iterate(
                     # in value space a point is solved on step 0, so that an oracle
                     # that misses PREIMAGE_TOL is refused at once, and then only
                     # where the step test passes and at the exit
-                    if g is None:
-                        x_next = y
-                    else:
-                        x_next = lift(y) if literal or j == 0 else None
+                    x_next = lift(y) if literal or j == 0 else None
                     # the step test comes first: it fails on all but the last few steps
                     if np.minimum.reduce(eps - d_j, None) > 0.0 and (
                         (cert is not None and np.minimum.reduce(eps - b_j, None) > 0.0)
@@ -592,7 +592,7 @@ def _iterate(
                     ):
                         if x_next is None:
                             x_next = lift(y)
-                        gap = metric(f(x_next), x_next if g is None else g(x_next))
+                        gap = metric(f(x_next), g(x_next))
                         if (eps - gap > 0.0).all():
                             status = SolveStatus.CONVERGED
                             x, residual = x_next, gap
@@ -605,11 +605,11 @@ def _iterate(
                 rows = min(2 * rows, _BLOCK)
     if x is None:  # every exit of a value-space run returns the point of its value
         x = lift(prev_val)
-    value = x if g is None else g(x)
+    value = g(x)
     if residual is None:
         residual = metric(f(x), value)
     weak: bool | None = None
-    if g is not None and status is SolveStatus.CONVERGED:
+    if coincidence and status is SolveStatus.CONVERGED:
         weak = _weakly_compatible(f, g, x)
     return SolveResult(
         point=_vec(x),

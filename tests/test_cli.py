@@ -239,6 +239,41 @@ def test_round_trip_is_canonical():
     assert emitted == again
 
 
+# every optional group: a componentwise f, g with its own g_solve, and lambda
+_ALL_GROUPS = MINIMAL.replace(
+    "f.kind = affine\n", "f.kind = componentwise-nonlinear\nf.L = 0.25\nf.d = -1.5\nf.tags = atan\n"
+).replace("k = 0.5", "lambda = 0.5") + (
+    "g.kind = affine\ng.M = 2\ng.b = 1\ng_solve.kind = affine\ng_solve.M = 0.5\ng_solve.b = -0.5\n"
+)
+
+
+def test_round_trip_keeps_every_optional_group():
+    pf = parse_problem_text(_ALL_GROUPS)
+    emitted = format_problem(pf)
+    assert emitted.splitlines() == [
+        "n = 1",
+        "W = 1",
+        "f.kind = componentwise-nonlinear",
+        "f.M = 0.5",
+        "f.b = 1",
+        "f.L = 0.25",
+        "f.d = -1.5",
+        "f.tags = atan",
+        "g.kind = affine",
+        "g.M = 2",
+        "g.b = 1",
+        "g_solve.kind = affine",
+        "g_solve.M = 0.5",
+        "g_solve.b = -0.5",
+        "lambda = 0.5",
+        "x0 = 0",
+        "eps = 1e-10",
+        "budget = 100000",
+        "seed = 0",
+    ]
+    assert format_problem(parse_problem_text(emitted)) == emitted
+
+
 def test_round_trip_preserves_values(tmp_path):
     path = tmp_path / "planar.prob"
     path.write_text(format_problem(parse_problem_text(PLANAR)))
@@ -747,6 +782,40 @@ def test_run_solve_comparison_violation(tmp_path, capsys):
     assert code == EXIT_HYPOTHESIS
     assert "kind=condition_c" in out
     assert "verdict=fail" in out
+
+
+# Condition C fails at (0, 1000): d(f 0, f 1000) = 900 is above phi of each
+# of d(0, 1000), d(0, f 0) and d(1000, f 1000), that is 500, 500 and 450.
+# The sampled gate draws its points from [-10, 10) whatever the problem's
+# scale, and there the second branch always holds, so only the online step
+# check of the solve refutes the condition.
+_FAR_OFFSET = (
+    MINIMAL.replace("f.M = 0.5", "f.M = 0.9").replace("f.b = 1", "f.b = 1000").replace("k = 0.5", "lambda = 0.5")
+)
+_FAR_OFFSET_GATE = (
+    "#REC kind=condition_c samples=1000 violations=0 branch1=0 branch2=1000 branch3=0 "
+    "method=sampled gap=na verdict=pass"
+)
+
+
+def test_the_online_step_check_refutes_what_the_sampled_gate_passes(tmp_path, capsys):
+    path = write(tmp_path, _FAR_OFFSET)
+    assert run(["verify-condition-c", path]) == EXIT_OK
+    assert _FAR_OFFSET_GATE in capsys.readouterr().out.splitlines()
+    code = run(["solve-comparison", path])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_HYPOTHESIS
+    assert _FAR_OFFSET_GATE in lines
+    assert lines[lines.index("== iterations ==") :] == [
+        "== iterations ==",
+        "#REC kind=iter n=0 y=0 dist=1000 bound=1000",
+        "#REC kind=iter n=1 y=1000 dist=900 bound=500",
+        "== result ==",
+        "hypothesis violated at step 1",
+        "#REC kind=result status=hypothesis_violated point=1000 value=1000 residual=900 "
+        "weak_compat=na common=na",
+        "#REC kind=exit code=2",
+    ]
 
 
 _COUPLED = (ROOT / "problems" / "comparison-2d.prob").read_text().replace(

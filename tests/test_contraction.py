@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from perov import (
     CERT_RESIDUAL_MAX,
+    ContractionCertificate,
     NotCertifiedError,
     OrthantCone,
     SquareMatrix,
@@ -336,6 +337,22 @@ def test_certificate_fields_are_consistent():
         assert np.max(np.sum(np.abs(lhs), axis=1)) <= CERT_RESIDUAL_MAX
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"rho_bound": 1.0}, "spectral radius bound below 1"),
+        ({"S": SquareMatrix.identity(2)}, "must share a dimension"),
+        ({"residual": 1e-9}, "certificate residual 1e-09 exceeds 1e-10"),
+    ],
+    ids=["rho-bound-one", "sizes-differ", "residual-over-cap"],
+)
+def test_a_certificate_refuses_what_certify_never_builds(changes, message):
+    fields = dict(k=mat([[0.5]]), rho=0.5, rho_bound=0.5, S=mat([[2.0]]), series_terms=1, residual=0.0)
+    ContractionCertificate(**fields)
+    with pytest.raises(UsageError, match=message):
+        ContractionCertificate(**{**fields, **changes})
+
+
 # -- linear comparison functions --------------------------------------------
 
 
@@ -384,6 +401,12 @@ def test_comparison_axioms_pass_for_half_gain():
     assert report.passed
     assert report.samples_tested == 500
     assert report.tail_checked > 0
+
+
+def test_comparison_axioms_refuse_a_sampler_outside_the_cone():
+    phi = linear_comparison(mat([[0.5]]))
+    with pytest.raises(UsageError, match="comparison sampler must produce cone vectors"):
+        check_comparison_axioms(phi, lambda count: -np.ones((count, 1)), 10)
 
 
 def test_comparison_axioms_fail_for_identity_callable():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +192,17 @@ def test_as_array_a_vector_is_a_writeable_copy():
     assert np.asarray(v, dtype=np.float32).dtype == np.float32
 
 
+def test_copies_and_pickles_stay_frozen_values():
+    values = (vec(1.0, -0.0, 2.5e-300), mat([[1.0 / 3.0, -0.0], [2.0, 1e17]]))
+    for value in values:
+        for dup in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(dup) is type(value) and dup == value
+            assert np.signbit(dup._array).tolist() == np.signbit(value._array).tolist()
+            assert not dup._array.flags.writeable
+            with pytest.raises(ValueError):
+                dup._array.flags.writeable = True
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_wrap_refuses_non_finite_input(bad):
     with pytest.raises(UsageError, match="entries must be finite"):
@@ -220,6 +234,14 @@ def test_matrix_arithmetic():
     assert (a - b) == mat([[1.0, 1.0], [2.0, 4.0]])
     assert (2.0 * a) == mat([[2.0, 4.0], [6.0, 8.0]])
     assert (a @ b) == mat([[2.0, 1.0], [4.0, 3.0]])
+    with pytest.raises(TypeError):
+        a @ 2.0
+
+
+def test_vector_negation():
+    v = -vec(1.5, -2.0, 0.0)
+    assert type(v) is Vector and v == vec(-1.5, 2.0, -0.0)
+    assert np.signbit(v.components).tolist() == [True, False, True]
 
 
 def test_identity_is_neutral():
@@ -294,6 +316,12 @@ def test_cone_membership():
     assert P2.contains(vec(1.0, 0.0))
     assert P2.interior_contains(vec(1e-12, 1.0))
     assert not P2.interior_contains(vec(0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0])
+def test_cone_dimension_is_a_positive_int(n):
+    with pytest.raises(UsageError, match="cone dimension must be a positive integer"):
+        OrthantCone(n)
 
 
 def test_cone_pointed():
